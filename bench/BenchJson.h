@@ -27,6 +27,7 @@
 #define MC_BENCH_BENCHJSON_H
 
 #include "engine/Engine.h"
+#include "support/Json.h"
 #include "support/RawOstream.h"
 
 #include <chrono>
@@ -66,13 +67,8 @@ public:
 
   BenchJson &str(std::string_view Key, std::string_view V) {
     beginField(Key);
-    Buf += '"';
-    for (char C : V) {
-      if (C == '"' || C == '\\')
-        Buf += '\\';
-      Buf += C;
-    }
-    Buf += '"';
+    raw_string_ostream OS(Buf);
+    writeJsonString(OS, V);
     return *this;
   }
 
@@ -111,13 +107,13 @@ public:
     beginField("metrics");
     Buf += '{';
     bool First = true;
+    raw_string_ostream OS(Buf);
     for (const auto &[Name, Value] : M) {
       if (!First)
         Buf += ',';
       First = false;
-      Buf += '"';
-      Buf += Name;
-      Buf += "\":";
+      writeJsonString(OS, Name);
+      Buf += ':';
       Buf += std::to_string(Value);
     }
     Buf += '}';

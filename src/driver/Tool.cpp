@@ -19,7 +19,7 @@
 using namespace mc;
 
 XgccTool::XgccTool(raw_ostream *DiagOS)
-    : Diags(SM, DiagOS ? DiagOS : &errs()),
+    : DiagOS(DiagOS ? *DiagOS : errs()), Diags(SM, &this->DiagOS),
       PP(std::make_unique<Preprocessor>(SM, Diags)) {}
 
 XgccTool::~XgccTool() = default;
@@ -53,7 +53,10 @@ unsigned effectiveJobs(const EngineOptions &Opts) {
 bool XgccTool::addSourceFiles(const std::vector<std::string> &Paths,
                               unsigned Jobs) {
   assert(!Finalized && "cannot add sources after finalize()");
+  // At most one worker per unit, the way the analysis clamps to roots.
   unsigned W = Jobs ? Jobs : ThreadPool::hardwareThreads();
+  if (W > Paths.size())
+    W = Paths.empty() ? 1 : unsigned(Paths.size());
 
   // Per-TU pass-1 state. Diagnostics go to a private engine and are
   // replayed in input order at the end, so the stream the user sees does

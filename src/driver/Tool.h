@@ -109,7 +109,6 @@ public:
   /// is dropped with a diagnostic instead of being spliced in partially, and
   /// the units that parsed are still analyzed.
   void setKeepGoing(bool KG) { KeepGoing = KG; }
-  bool keepGoing() const { return KeepGoing; }
 
   /// Runs pass-1 and analysis fan-out on \p Pool instead of constructing a
   /// private ThreadPool per phase. The pool's worker count is free to differ
@@ -168,10 +167,13 @@ public:
   /// on records spans into it. Pass null to detach. The collector must
   /// outlive the runs it observes.
   void setTrace(TraceCollector *T) { Trace = T; }
+  TraceCollector *trace() const { return Trace; }
   Engine *engine() { return Eng.get(); }
   ASTContext &context() { return Ctx; }
   SourceManager &sourceManager() { return SM; }
   DiagnosticEngine &diags() { return Diags; }
+  /// The stream diagnostics go to (the constructor's \p DiagOS).
+  raw_ostream &diagOS() { return DiagOS; }
   const CallGraph &callGraph() const { return CG; }
 
 private:
@@ -227,6 +229,7 @@ private:
   bool mixClosure(const FunctionDecl *Root, uint64_t &Hash,
                   std::set<const FunctionDecl *> &ClosureOut) const;
 
+  raw_ostream &DiagOS;
   SourceManager SM;
   DiagnosticEngine Diags;
   ASTContext Ctx;

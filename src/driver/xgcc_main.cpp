@@ -88,16 +88,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/Pipeline.h"
 #include "driver/Tool.h"
-#include "lifecycle/BaselineStore.h"
 #include "service/Client.h"
 #include "service/Protocol.h"
 #include "support/OptionParser.h"
 #include "support/RawOstream.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -113,38 +111,61 @@ void printUsage() {
          << "Run 'xgcc --help' for the option list.\n";
 }
 
-bool endsWith(const std::string &S, const char *Suffix) {
-  size_t N = std::strlen(Suffix);
-  return S.size() >= N && S.compare(S.size() - N, N, Suffix) == 0;
+/// --server: replays \p Req against a running xgccd. The response embeds
+/// the bytes a local run would print, so stdout, stderr and the exit code
+/// match a local run; only a request error gains the "server: " prefix.
+int runServed(const std::string &Sock, const RunRequest &Req) {
+  ServiceRequest Wire;
+  static_cast<RunRequest &>(Wire) = Req;
+  Wire.Id = "cli-" + std::to_string(getpid());
+  std::string Reply, Err;
+  if (!serviceRoundTrip(Sock, Wire.serializeToString(), Reply, &Err)) {
+    errs() << "xgcc: cannot reach server at '" << Sock << "': " << Err << '\n';
+    return 3;
+  }
+  ServiceResponse Resp;
+  if (!Resp.parse(Reply, &Err)) {
+    errs() << "xgcc: malformed server response: " << Err << '\n';
+    return 3;
+  }
+  errs() << Resp.Log;
+  outs() << Resp.Output;
+  outs().flush();
+  switch (Resp.Status) {
+  case ServiceStatus::Ok:
+  case ServiceStatus::Incomplete:
+    return int(Resp.ExitCode);
+  case ServiceStatus::Error:
+    errs() << "xgcc: server: " << Resp.Error << '\n';
+    return Resp.ExitCode ? int(Resp.ExitCode) : 2;
+  case ServiceStatus::Overloaded:
+  case ServiceStatus::Retriable:
+    errs() << "xgcc: server " << serviceStatusName(Resp.Status) << ": "
+           << Resp.Error << '\n';
+    return 3;
+  }
+  return 3;
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
-  XgccTool Tool;
-  EngineOptions Opts;
-  // The library default is serial; the command-line tool defaults to one
-  // worker per hardware thread (0 = auto).
-  Opts.Jobs = 0;
-  std::vector<std::string> CheckerNames;
+  RunRequest Req;
+  RunHost Host;
   std::vector<std::string> MetalFiles;
-  std::vector<std::string> Inputs;
-  std::string EmitPath;
-  std::string HistoryPath, UpdateHistoryPath;
-  RankPolicy Policy = RankPolicy::Generic;
-  bool Json = false;
-  bool ShowGroups = false;
-  // --server mode state: -I/-D are collected (not applied) so they can ride
-  // the wire; local runs apply them after the parse loop, in order.
-  std::string ServerSock;
-  std::string RankName = "generic";
-  std::vector<std::string> IncludeDirs;
-  std::vector<std::pair<std::string, std::string>> Defines;
-  bool UsedCacheFlags = false;
-  std::string BaselineDir;
-  bool SuppressKnown = false;
+  std::string EmitPath, ServerSock, CacheDir;
+  bool CacheVerify = false, UsedCacheFlags = false;
+  uint64_t CacheMaxMB = 0;
 
   OptionParser P(Argc, Argv);
+  // A count flag's value: false (after the diagnostic) when it is not one.
+  auto Count = [](const char *Flag, const char *V, auto &Out,
+                  const char *What) {
+    if (parseCount(V, Out))
+      return true;
+    errs() << "xgcc: " << Flag << " expects " << What << '\n';
+    return false;
+  };
   while (P.next()) {
     const std::string &Arg = P.arg();
     const char *V = nullptr;
@@ -160,175 +181,106 @@ int main(int Argc, char **Argv) {
     if (P.value("--emit-ast", &V)) {
       if (V)
         EmitPath = V;
-      continue;
-    }
-    if (P.value("--checker", &V)) {
+    } else if (P.value("--checker", &V)) {
       if (V)
-        CheckerNames.push_back(V);
-      continue;
-    }
-    if (P.value("--metal", &V)) {
+        Req.Checkers.push_back(V);
+    } else if (P.value("--metal", &V)) {
       if (V)
         MetalFiles.push_back(V);
-      continue;
-    }
-    if (P.value("--rank", &V)) {
-      if (V && !std::strcmp(V, "statistical")) {
-        Policy = RankPolicy::Statistical;
-        RankName = "statistical";
-      } else if (V && !std::strcmp(V, "combined")) {
-        Policy = RankPolicy::Combined;
-        RankName = "combined";
-      }
-      continue;
-    }
-    if (P.value("--server", &V)) {
+    } else if (P.value("--rank", &V)) {
+      Req.Rank = V ? V : "";
+    } else if (P.value("--format", &V)) {
+      Req.Format = V ? V : "";
+    } else if (P.value("--server", &V)) {
       if (V)
         ServerSock = V;
-      continue;
-    }
-    if (P.value("--format", &V)) {
-      Json = V && !std::strcmp(V, "json");
-      continue;
-    }
-    if (P.value("--history", &V)) {
+    } else if (P.value("--history", &V)) {
       if (V)
-        HistoryPath = V;
-      continue;
-    }
-    if (P.value("--update-history", &V)) {
+        Host.HistoryPath = V;
+    } else if (P.value("--update-history", &V)) {
       if (V)
-        UpdateHistoryPath = V;
-      continue;
-    }
-    if (P.value("--jobs", &V)) {
-      if (V)
-        Opts.Jobs = unsigned(std::strtoul(V, nullptr, 10));
-      continue;
-    }
-    if (P.flag("--no-cache")) {
-      Opts.EnableBlockCache = false;
-      Opts.MaxPathsPerFunction = 1u << 16;
-      continue;
-    }
-    if (P.flag("--no-dispatch-index")) {
-      Opts.EnableDispatchIndex = false;
-      continue;
-    }
-    if (P.flag("--no-state-interning")) {
-      Opts.EnableStateInterning = false;
-      continue;
-    }
-    if (P.flag("--no-summaries")) {
-      Opts.EnableFunctionSummaries = false;
-      continue;
-    }
-    if (P.flag("--no-fpp")) {
-      Opts.EnableFalsePathPruning = false;
-      continue;
-    }
-    if (P.flag("--intraprocedural")) {
-      Opts.Interprocedural = false;
-      continue;
-    }
-    if (P.flag("--keep-going")) {
-      Tool.setKeepGoing(true);
-      continue;
-    }
-    // Incremental cache block (--cache-dir/--cache-verify/--cache-max-mb).
-    if (P.value("--cache-dir", &V)) {
+        Host.UpdateHistoryPath = V;
+    } else if (P.value("--jobs", &V)) {
+      if (!Count("--jobs", V, Req.Jobs, "a thread count (0 = auto)"))
+        return 2;
+    } else if (P.flag("--no-cache")) {
+      Req.Options.BlockCache = false;
+    } else if (P.flag("--no-dispatch-index")) {
+      Req.Options.DispatchIndex = false;
+    } else if (P.flag("--no-state-interning")) {
+      Req.Options.StateInterning = false;
+    } else if (P.flag("--no-summaries")) {
+      Req.Options.FunctionSummaries = false;
+    } else if (P.flag("--no-fpp")) {
+      Req.Options.FalsePathPruning = false;
+    } else if (P.flag("--intraprocedural")) {
+      Req.Options.Interprocedural = false;
+    } else if (P.flag("--keep-going")) {
+      Req.KeepGoing = true;
+    } else if (P.value("--cache-dir", &V)) {
+      // Incremental cache block (--cache-dir/--cache-verify/--cache-max-mb).
       if (!V) {
         errs() << "xgcc: --cache-dir expects a directory path\n";
         return 2;
       }
-      Tool.setCacheDir(V);
+      CacheDir = V;
       UsedCacheFlags = true;
-      continue;
-    }
-    if (P.flag("--cache-verify")) {
-      Tool.setCacheVerify(true);
-      UsedCacheFlags = true;
-      continue;
-    }
-    if (P.value("--cache-max-mb", &V)) {
-      if (!V) {
-        errs() << "xgcc: --cache-max-mb expects a size in MiB\n";
+    } else if (P.flag("--cache-verify")) {
+      CacheVerify = UsedCacheFlags = true;
+    } else if (P.value("--cache-max-mb", &V)) {
+      if (!Count("--cache-max-mb", V, CacheMaxMB, "a size in MiB"))
         return 2;
-      }
-      Tool.setCacheMaxMB(std::strtoull(V, nullptr, 10));
       UsedCacheFlags = true;
-      continue;
-    }
-    // Cross-run lifecycle block (--baseline/--suppress-known).
-    if (P.value("--baseline", &V)) {
+    } else if (P.value("--baseline", &V)) {
+      // Cross-run lifecycle block (--baseline/--suppress-known).
       if (!V) {
         errs() << "xgcc: --baseline expects a directory path\n";
         return 2;
       }
-      BaselineDir = V;
-      continue;
-    }
-    if (P.flag("--suppress-known")) {
-      SuppressKnown = true;
-      continue;
-    }
-    // Reporting & robustness block — every flag routes into
-    // EngineOptions::Reporting so the run manifest records exactly what the
-    // user asked for.
-    {
-      bool Handled = true;
-      if (P.flag("--stats"))
-        Opts.Reporting.ShowStats = true;
-      else if (P.optionalValue("--profile", &V))
-        Opts.Reporting.ProfileTopN =
-            V ? unsigned(std::strtoul(V, nullptr, 10)) : 5;
-      else if (P.optionalValue("--explain", &V)) {
-        // "--explain" alone means top 3; "--explain=N" and "--explain N"
-        // (when the next argument is all digits) set N explicitly.
-        unsigned N = 3;
-        if (V) {
-          char *End = nullptr;
-          N = unsigned(std::strtoul(V, &End, 10));
-          if (!*V || *End || N == 0) {
-            errs() << "xgcc: --explain expects a positive report count\n";
-            printUsage();
-            return 2;
-          }
-        }
-        Opts.Reporting.ExplainTopN = N;
-        Opts.Reporting.CaptureWitness = true;
-      } else if (P.value("--stats-json", &V))
-        Opts.Reporting.StatsJsonPath = V ? V : "";
-      else if (P.value("--trace-out", &V))
-        Opts.Reporting.TraceOutPath = V ? V : "";
-      else if (P.value("--deadline-ms", &V))
-        Opts.Reporting.RootDeadlineMs = V ? std::strtoull(V, nullptr, 10) : 0;
-      else if (P.value("--fail-on", &V)) {
-        if (!V || !parseFailPolicy(V, Opts.Reporting.FailOn)) {
-          errs() << "xgcc: --fail-on expects error|degraded|never\n";
-          printUsage();
-          return 2;
-        }
-      } else {
-        Handled = false;
+      Req.Baseline = V;
+    } else if (P.flag("--suppress-known")) {
+      Req.SuppressKnown = true;
+    } else if (P.flag("--stats")) {
+      // Reporting & robustness block — every flag lands in the manifest's
+      // options.reporting, so it records exactly what the user asked for.
+      Host.ShowStats = true;
+    } else if (P.optionalValue("--profile", &V)) {
+      Host.ProfileTopN = 5;
+      if (V && !Count("--profile", V, Host.ProfileTopN, "a checker count"))
+        return 2;
+    } else if (P.optionalValue("--explain", &V)) {
+      // "--explain" alone means top 3; "--explain=N" and "--explain N"
+      // (when the next argument is all digits) set N explicitly.
+      Req.ExplainTopN = 3;
+      if (V && (!parseCount(V, Req.ExplainTopN) || !Req.ExplainTopN)) {
+        errs() << "xgcc: --explain expects a positive report count\n";
+        printUsage();
+        return 2;
       }
-      if (Handled)
-        continue;
-    }
-    if (P.flag("--groups")) {
-      ShowGroups = true;
-      continue;
-    }
-    if (P.flag("-I")) {
+    } else if (P.value("--stats-json", &V)) {
+      Host.StatsJsonPath = V ? V : "";
+    } else if (P.value("--trace-out", &V)) {
+      Host.TraceOutPath = V ? V : "";
+    } else if (P.value("--deadline-ms", &V)) {
+      if (!Count("--deadline-ms", V, Req.Options.RootDeadlineMs,
+                 "a count of milliseconds"))
+        return 2;
+    } else if (P.value("--fail-on", &V)) {
+      FailPolicy Unused;
+      if (!V || !parseFailPolicy(V, Unused)) {
+        errs() << "xgcc: --fail-on expects error|degraded|never\n";
+        printUsage();
+        return 2;
+      }
+      Req.Options.FailOn = V;
+    } else if (P.flag("--groups")) {
+      Host.ShowGroups = true;
+    } else if (P.flag("-I")) {
       if (const char *D = P.take())
-        IncludeDirs.push_back(D);
-      continue;
-    }
-    if (P.prefixValue("-I", &V)) {
-      IncludeDirs.push_back(V);
-      continue;
-    }
-    if (P.flag("-D") || P.prefixValue("-D", &V)) {
+        Req.IncludeDirs.push_back(D);
+    } else if (P.prefixValue("-I", &V)) {
+      Req.IncludeDirs.push_back(V);
+    } else if (P.flag("-D") || P.prefixValue("-D", &V)) {
       std::string Def;
       if (V)
         Def = V;
@@ -336,130 +288,53 @@ int main(int Argc, char **Argv) {
         Def = D;
       size_t Eq = Def.find('=');
       if (Eq == std::string::npos)
-        Defines.emplace_back(Def, "1");
+        Req.Defines.emplace_back(Def, "1");
       else
-        Defines.emplace_back(Def.substr(0, Eq), Def.substr(Eq + 1));
-      continue;
-    }
-    if (!Arg.empty() && Arg[0] == '-') {
+        Req.Defines.emplace_back(Def.substr(0, Eq), Def.substr(Eq + 1));
+    } else if (!Arg.empty() && Arg[0] == '-') {
       errs() << "xgcc: unknown option '" << Arg << "'\n";
       printUsage();
       return 2;
+    } else {
+      Req.Files.push_back(Arg);
     }
-    Inputs.push_back(Arg);
   }
 
-  if (Inputs.empty()) {
+  if (Req.Files.empty()) {
     printUsage();
     return 2;
   }
+  for (const std::string &Path : MetalFiles) {
+    std::string Text;
+    if (!readFileBytes(Path, Text)) {
+      errs() << "xgcc: cannot open metal file '" << Path << "'\n";
+      return 2;
+    }
+    Req.Metal.emplace_back(Path, std::move(Text));
+  }
 
-  // --server: replay this invocation against a running xgccd instead of
-  // analyzing locally. The response embeds the exact bytes a local run
-  // would print, so stdout/stderr/exit code are indistinguishable.
   if (!ServerSock.empty()) {
-    if (!EmitPath.empty() || ShowGroups || !HistoryPath.empty() ||
-        !UpdateHistoryPath.empty() || UsedCacheFlags ||
-        Opts.Reporting.ShowStats || Opts.Reporting.ProfileTopN ||
-        !Opts.Reporting.StatsJsonPath.empty() ||
-        !Opts.Reporting.TraceOutPath.empty()) {
+    if (!EmitPath.empty() || Host.ShowGroups || !Host.HistoryPath.empty() ||
+        !Host.UpdateHistoryPath.empty() || UsedCacheFlags || Host.ShowStats ||
+        Host.ProfileTopN || !Host.StatsJsonPath.empty() ||
+        !Host.TraceOutPath.empty()) {
       errs() << "xgcc: --emit-ast/--groups/--history/--update-history/"
                 "--cache-*/--stats/--stats-json/--profile/--trace-out are "
                 "not supported with --server (the daemon owns its cache and "
                 "artifacts)\n";
       return 2;
     }
-    ServiceRequest Req;
-    Req.Id = "cli-" + std::to_string(getpid());
-    Req.Files = Inputs; // Verbatim: resolved against the server's cwd.
-    Req.Checkers = CheckerNames;
-    for (const std::string &Path : MetalFiles) {
-      std::string Text;
-      if (!readFileBytes(Path, Text)) {
-        errs() << "xgcc: cannot open metal file '" << Path << "'\n";
-        return 2;
-      }
-      Req.Metal.emplace_back(Path, std::move(Text));
-    }
-    Req.IncludeDirs = IncludeDirs;
-    Req.Defines = Defines;
-    Req.Jobs = Opts.Jobs;
-    Req.Rank = RankName;
-    Req.Format = Json ? "json" : "text";
-    Req.ExplainTopN = Opts.Reporting.ExplainTopN;
-    Req.KeepGoing = Tool.keepGoing();
-    Req.Baseline = BaselineDir; // Verbatim: resolved against the server's cwd.
-    Req.SuppressKnown = SuppressKnown;
-    Req.Options.BlockCache = Opts.EnableBlockCache;
-    Req.Options.FunctionSummaries = Opts.EnableFunctionSummaries;
-    Req.Options.FalsePathPruning = Opts.EnableFalsePathPruning;
-    Req.Options.DispatchIndex = Opts.EnableDispatchIndex;
-    Req.Options.StateInterning = Opts.EnableStateInterning;
-    Req.Options.Interprocedural = Opts.Interprocedural;
-    Req.Options.RootDeadlineMs = Opts.Reporting.RootDeadlineMs;
-    Req.Options.RootPathBudget = Opts.RootPathBudget;
-    Req.Options.FailOn = failPolicyName(Opts.Reporting.FailOn);
-
-    std::string Reply, Err;
-    if (!serviceRoundTrip(ServerSock, Req.serializeToString(), Reply, &Err)) {
-      errs() << "xgcc: cannot reach server at '" << ServerSock
-             << "': " << Err << '\n';
-      return 3;
-    }
-    ServiceResponse Resp;
-    if (!Resp.parse(Reply, &Err)) {
-      errs() << "xgcc: malformed server response: " << Err << '\n';
-      return 3;
-    }
-    if (!Resp.Log.empty())
-      errs() << Resp.Log;
-    outs() << Resp.Output;
-    outs().flush();
-    switch (Resp.Status) {
-    case ServiceStatus::Ok:
-    case ServiceStatus::Incomplete:
-      return int(Resp.ExitCode);
-    case ServiceStatus::Error:
-      errs() << "xgcc: server: " << Resp.Error << '\n';
-      return Resp.ExitCode ? int(Resp.ExitCode) : 2;
-    case ServiceStatus::Overloaded:
-    case ServiceStatus::Retriable:
-      errs() << "xgcc: server " << serviceStatusName(Resp.Status) << ": "
-             << Resp.Error << '\n';
-      return 3;
-    }
-    return 3;
+    return runServed(ServerSock, Req);
   }
 
-  for (const std::string &Dir : IncludeDirs)
-    Tool.preprocessor().addIncludeDir(Dir);
-  for (const auto &[Name, Value] : Defines)
-    Tool.preprocessor().define(Name, Value);
-
-  // Pass 1: parse inputs (or reload AST images). Consecutive C sources are
-  // batched through the parallel front end; .mast images load serially at
-  // their position so declaration order still follows the command line.
-  bool ParseOk = true;
-  std::vector<std::string> Batch;
-  auto FlushBatch = [&] {
-    if (Batch.empty())
-      return;
-    ParseOk &= Tool.addSourceFiles(Batch, Opts.Jobs);
-    Batch.clear();
-  };
-  for (const std::string &Path : Inputs) {
-    if (endsWith(Path, ".mast")) {
-      FlushBatch();
-      ParseOk &= Tool.addMastFile(Path);
-    } else {
-      Batch.push_back(Path);
-    }
-  }
-  FlushBatch();
-  if (!ParseOk)
-    errs() << "xgcc: continuing despite parse errors\n";
+  XgccTool Tool;
+  if (!CacheDir.empty())
+    Tool.setCacheDir(CacheDir);
+  Tool.setCacheVerify(CacheVerify);
+  Tool.setCacheMaxMB(CacheMaxMB);
 
   if (!EmitPath.empty()) {
+    loadInputs(Tool, Req, Req.Jobs);
     if (!Tool.emitMast(EmitPath)) {
       errs() << "xgcc: cannot write '" << EmitPath << "'\n";
       return 1;
@@ -468,168 +343,13 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  // Checker selection: default to the full builtin suite (path_kill first,
-  // so its annotations gate the others).
-  if (CheckerNames.empty() && MetalFiles.empty())
-    CheckerNames = builtinCheckerNames();
-  // path_kill composes with everything: run it first if requested.
-  std::stable_sort(CheckerNames.begin(), CheckerNames.end(),
-                   [](const std::string &A, const std::string &B) {
-                     return (A == "path_kill") > (B == "path_kill");
-                   });
-  for (const std::string &Name : CheckerNames) {
-    if (!Tool.addBuiltinChecker(Name)) {
-      errs() << "xgcc: unknown builtin checker '" << Name << "'\n";
-      return 2;
-    }
-  }
-  for (const std::string &Path : MetalFiles) {
-    std::string Text;
-    if (!readFileBytes(Path, Text)) {
-      errs() << "xgcc: cannot open metal file '" << Path << "'\n";
-      return 2;
-    }
-    if (!Tool.addMetalChecker(Text, Path)) {
-      errs() << "xgcc: errors in metal checker '" << Path << "'\n";
-      return 2;
-    }
-  }
-
   // Observability: the collector is attached even when tracing is off — a
   // disabled collector hands the engines null buffers, which is exactly the
   // "compiled in but disabled" path the overhead bench gates.
-  TraceCollector Trace(!Opts.Reporting.TraceOutPath.empty());
+  TraceCollector Trace(!Host.TraceOutPath.empty());
   Tool.setTrace(&Trace);
-
-  Tool.run(Opts);
-  // Size-policy eviction and the cache.bytes gauge, before any metrics
-  // surface renders.
-  Tool.finishCache();
-
-  // History-based suppression (Section 8).
-  HistoryFile History;
-  if (!HistoryPath.empty()) {
-    History.load(HistoryPath);
-    unsigned Dropped = History.apply(Tool.reports());
-    if (Dropped)
-      outs() << "suppressed " << Dropped << " report(s) from history\n";
-  }
-  if (!UpdateHistoryPath.empty()) {
-    HistoryFile Updated;
-    for (const ErrorReport &R : Tool.reports().reports())
-      Updated.markKey(historyKey(R));
-    Updated.save(UpdateHistoryPath);
-  }
-
-  // Cross-run lifecycle (--baseline): classify this run against the
-  // persistent store, tag/suppress reports, fold the accumulated rule
-  // population into statistical ranking, and record the run. A store that
-  // cannot be read or written is a tool failure (mirrors --stats-json).
-  BaselineDelta Delta;
-  bool BaselineWriteFailed = false;
-  const bool BaselineOn = !BaselineDir.empty();
-  if (BaselineOn) {
-    BaselineStore Store;
-    std::string Err;
-    if (!Store.open(BaselineDir, &Err)) {
-      errs() << "xgcc: cannot open baseline store '" << BaselineDir
-             << "': " << Err << '\n';
-      return 1;
-    }
-    Delta = Store.recordRun(Tool.reports(), SuppressKnown);
-    if (!Store.save(&Err)) {
-      errs() << "xgcc: cannot write baseline store '" << BaselineDir
-             << "': " << Err << '\n';
-      BaselineWriteFailed = true;
-    }
-  }
-
-  if (Json) {
-    Tool.reports().printJson(outs(), Policy);
-  } else {
-    Tool.reports().print(outs(), Policy);
-    outs() << Tool.reports().size() << " report(s)\n";
-    if (BaselineOn)
-      outs() << "baseline: " << Delta.NewCount << " new, " << Delta.KnownCount
-             << " known, " << Delta.FixedCount << " fixed, "
-             << Delta.SuppressedCount << " suppressed\n";
-    if (Opts.Reporting.ExplainTopN)
-      renderExplainText(outs(), Tool.reports(), Tool.sourceManager(), Policy,
-                        Opts.Reporting.ExplainTopN);
-  }
-
-  if (ShowGroups && !Json) {
-    // Section 9: "group all errors that are computed from a common analysis
-    // fact" so a wrong fact can be suppressed wholesale.
-    outs() << "---- groups (by analysis fact) ----\n";
-    for (const auto &[Key, Members] : Tool.reports().grouped()) {
-      outs() << (Key.empty() ? std::string("<ungrouped>") : Key) << ": "
-             << Members.size() << " report(s)";
-      if (!Key.empty())
-        outs().printf(" (z=%.2f)", Tool.reports().ruleZ(Key));
-      outs() << '\n';
-    }
-  }
-
-  if (Opts.Reporting.ProfileTopN)
-    formatProfileText(Tool.metrics(), Opts.Reporting.ProfileTopN, outs());
-
-  if (Opts.Reporting.ShowStats)
-    formatStatsText(Tool.metrics(), outs());
-
-  // A requested artifact that cannot be written is a tool failure: the exit
-  // status must say so even under --fail-on never (which only concerns
-  // analysis outcomes), or build drivers silently lose their manifests.
-  bool ArtifactWriteFailed = false;
-
-  if (!Opts.Reporting.StatsJsonPath.empty()) {
-    RunManifest Manifest = Tool.manifest(Opts, ParseOk);
-    if (BaselineOn) {
-      Manifest.Baseline.Enabled = true;
-      Manifest.Baseline.RunOrdinal = Delta.RunOrdinal;
-      Manifest.Baseline.NewCount = Delta.NewCount;
-      Manifest.Baseline.KnownCount = Delta.KnownCount;
-      Manifest.Baseline.FixedCount = Delta.FixedCount;
-      Manifest.Baseline.SuppressedCount = Delta.SuppressedCount;
-    }
-    if (Opts.Reporting.StatsJsonPath == "-") {
-      Manifest.writeJson(outs());
-    } else {
-      std::string Buf;
-      raw_string_ostream OS(Buf);
-      Manifest.writeJson(OS);
-      OS.flush();
-      if (!writeFileBytes(Opts.Reporting.StatsJsonPath, Buf)) {
-        errs() << "xgcc: cannot write '" << Opts.Reporting.StatsJsonPath
-               << "'\n";
-        ArtifactWriteFailed = true;
-      }
-    }
-  }
-
-  if (!Opts.Reporting.TraceOutPath.empty()) {
-    std::string Buf;
-    raw_string_ostream OS(Buf);
-    Trace.exportChromeJson(OS);
-    OS.flush();
-    if (!writeFileBytes(Opts.Reporting.TraceOutPath, Buf)) {
-      errs() << "xgcc: cannot write '" << Opts.Reporting.TraceOutPath
-             << "'\n";
-      ArtifactWriteFailed = true;
-    }
-  }
-
-  if (ArtifactWriteFailed || BaselineWriteFailed)
-    return 1;
-
-  // Exit policy: the default "never" keeps the classic always-0 behavior so
-  // partial results never look like tool crashes to build drivers.
-  if (Opts.Reporting.FailOn != FailPolicy::Never) {
-    if (Tool.reports().anyQuarantined() || !ParseOk)
-      return 1;
-    if (Opts.Reporting.FailOn == FailPolicy::Degraded &&
-        Tool.reports().anyDegraded())
-      return 1;
-  }
-  return 0;
+  RunResult Run = runRequest(Tool, Req, Host, outs());
+  if (!Run.Error.empty())
+    errs() << "xgcc: " << Run.Error << '\n';
+  return int(Run.ExitCode);
 }

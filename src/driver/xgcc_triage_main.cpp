@@ -339,13 +339,10 @@ int main(int Argc, char **Argv) {
       continue;
     }
     if (P.value("--limit", &V)) {
-      char *End = nullptr;
-      unsigned long N = V ? std::strtoul(V, &End, 10) : 0;
-      if (!V || !*V || *End || N == 0) {
+      if (!parseCount(V, Limit) || !Limit) {
         errs() << "xgcc-triage: --limit expects a positive count\n";
         return 2;
       }
-      Limit = unsigned(N);
       continue;
     }
     if (P.arg().size() > 1 && P.arg()[0] == '-') {
@@ -363,14 +360,13 @@ int main(int Argc, char **Argv) {
   if (Command == "top" && Positional.size() == 1)
     return cmdTop(Positional[0], Limit);
   if (Command == "diff" && Positional.size() == 3) {
-    char *EndA = nullptr, *EndB = nullptr;
-    unsigned long A = std::strtoul(Positional[1].c_str(), &EndA, 10);
-    unsigned long B = std::strtoul(Positional[2].c_str(), &EndB, 10);
-    if (*EndA || *EndB || A == 0 || B == 0) {
+    unsigned A = 0, B = 0;
+    if (!parseCount(Positional[1].c_str(), A) ||
+        !parseCount(Positional[2].c_str(), B) || !A || !B) {
       errs() << "xgcc-triage: diff expects two run ordinals\n";
       return 2;
     }
-    return cmdDiff(Positional[0], unsigned(A), unsigned(B));
+    return cmdDiff(Positional[0], A, B);
   }
   if (Command == "mark" && Positional.size() == 3)
     return cmdMark(Positional[0], Positional[1], Positional[2]);

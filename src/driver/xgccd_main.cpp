@@ -72,20 +72,6 @@ void printUsage() {
          << "       xgccd --client --socket PATH\n";
 }
 
-/// Strict all-digits parse for count-valued flags: "12x" and "" are
-/// rejected, not silently truncated by strtoull.
-bool parseCount(const char *V, uint64_t &Out) {
-  if (!V || !*V)
-    return false;
-  Out = 0;
-  for (const char *C = V; *C; ++C) {
-    if (*C < '0' || *C > '9')
-      return false;
-    Out = Out * 10 + uint64_t(*C - '0');
-  }
-  return true;
-}
-
 ServiceServer *ActiveServer = nullptr;
 
 void onSignal(int) {
@@ -155,23 +141,32 @@ int main(int Argc, char **Argv) {
       continue;
     }
     if (P.value("--max-queue", &V)) {
-      Cfg.MaxQueue = V ? unsigned(std::strtoul(V, nullptr, 10)) : 0;
-      if (!Cfg.MaxQueue) {
+      if (!parseCount(V, Cfg.MaxQueue) || !Cfg.MaxQueue) {
         errs() << "xgccd: --max-queue expects a positive count\n";
         return 2;
       }
       continue;
     }
     if (P.value("--default-deadline-ms", &V)) {
-      Cfg.DefaultDeadlineMs = V ? std::strtoull(V, nullptr, 10) : 0;
+      if (!parseCount(V, Cfg.DefaultDeadlineMs)) {
+        errs() << "xgccd: --default-deadline-ms expects a non-negative "
+                  "count\n";
+        return 2;
+      }
       continue;
     }
     if (P.value("--jobs", &V)) {
-      Cfg.DefaultJobs = V ? unsigned(std::strtoul(V, nullptr, 10)) : 0;
+      if (!parseCount(V, Cfg.DefaultJobs)) {
+        errs() << "xgccd: --jobs expects a non-negative count\n";
+        return 2;
+      }
       continue;
     }
     if (P.value("--cache-max-mb", &V)) {
-      Cfg.CacheMaxMB = V ? std::strtoull(V, nullptr, 10) : 0;
+      if (!parseCount(V, Cfg.CacheMaxMB)) {
+        errs() << "xgccd: --cache-max-mb expects a size in MiB\n";
+        return 2;
+      }
       continue;
     }
     if (P.value("--log-file", &V)) {
@@ -197,12 +192,10 @@ int main(int Argc, char **Argv) {
       continue;
     }
     if (P.value("--flightrec-max", &V)) {
-      uint64_t N = 0;
-      if (!parseCount(V, N) || !N) {
+      if (!parseCount(V, Cfg.FlightRecMax) || !Cfg.FlightRecMax) {
         errs() << "xgccd: --flightrec-max expects a positive count\n";
         return 2;
       }
-      Cfg.FlightRecMax = unsigned(N);
       continue;
     }
     errs() << "xgccd: unknown option '" << Arg << "'\n";

@@ -6,6 +6,7 @@
 
 #include "engine/RunManifest.h"
 
+#include "support/Json.h"
 #include "support/RawOstream.h"
 
 #include <algorithm>
@@ -143,527 +144,215 @@ void RunManifest::writeJson(raw_ostream &OS) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Parsing (strict subset: objects/arrays/strings/unsigned ints/bools)
+// Parsing
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-class ManifestParser {
-public:
-  ManifestParser(std::string_view Text, std::string *Err)
-      : Text(Text), Err(Err) {}
-
-  bool parse(RunManifest &Out) {
-    skipWs();
-    if (!parseManifestObject(Out))
-      return false;
-    skipWs();
-    if (Pos != Text.size())
-      return fail("trailing content after manifest object");
-    return true;
-  }
-
-private:
-  std::string_view Text;
-  std::string *Err;
-  size_t Pos = 0;
-
-  bool fail(const char *Msg) {
-    if (Err) {
-      *Err = Msg;
-      *Err += " at offset ";
-      *Err += std::to_string(Pos);
+bool readReporting(JsonReader &R, ReportingOptions &O) {
+  return R.readObject([&](const std::string &Key) {
+    if (Key == "show_stats")
+      return R.readBool(O.ShowStats);
+    if (Key == "stats_json")
+      return R.readString(O.StatsJsonPath);
+    if (Key == "trace_out")
+      return R.readString(O.TraceOutPath);
+    if (Key == "profile_top_n")
+      return R.readUInt(O.ProfileTopN);
+    if (Key == "explain_top_n")
+      return R.readUInt(O.ExplainTopN);
+    if (Key == "capture_witness")
+      return R.readBool(O.CaptureWitness);
+    if (Key == "deadline_ms")
+      return R.readUInt(O.RootDeadlineMs);
+    if (Key == "fail_on") {
+      std::string S;
+      return R.readString(S) &&
+             (parseFailPolicy(S, O.FailOn) || R.fail("unknown fail_on value"));
     }
-    return false;
-  }
+    return R.skipValue();
+  });
+}
 
-  void skipWs() {
-    while (Pos < Text.size() &&
-           (Text[Pos] == ' ' || Text[Pos] == '\t' || Text[Pos] == '\n' ||
-            Text[Pos] == '\r'))
-      ++Pos;
-  }
+bool readOptions(JsonReader &R, EngineOptions &O) {
+  return R.readObject([&](const std::string &Key) {
+    if (Key == "block_cache")
+      return R.readBool(O.EnableBlockCache);
+    if (Key == "function_summaries")
+      return R.readBool(O.EnableFunctionSummaries);
+    if (Key == "false_path_pruning")
+      return R.readBool(O.EnableFalsePathPruning);
+    if (Key == "auto_kill")
+      return R.readBool(O.EnableAutoKill);
+    if (Key == "synonyms")
+      return R.readBool(O.EnableSynonyms);
+    if (Key == "interprocedural")
+      return R.readBool(O.Interprocedural);
+    if (Key == "dispatch_index")
+      return R.readBool(O.EnableDispatchIndex);
+    if (Key == "state_interning")
+      return R.readBool(O.EnableStateInterning);
+    if (Key == "max_paths_per_function")
+      return R.readUInt(O.MaxPathsPerFunction);
+    if (Key == "max_path_length")
+      return R.readUInt(O.MaxPathLength);
+    if (Key == "max_call_depth")
+      return R.readUInt(O.MaxCallDepth);
+    if (Key == "root_path_budget")
+      return R.readUInt(O.RootPathBudget);
+    if (Key == "max_active_states")
+      return R.readUInt(O.MaxActiveStates);
+    if (Key == "jobs")
+      return R.readUInt(O.Jobs);
+    if (Key == "reporting")
+      return readReporting(R, O.Reporting);
+    return R.skipValue();
+  });
+}
 
-  bool expect(char C) {
-    skipWs();
-    if (Pos >= Text.size() || Text[Pos] != C)
-      return fail("unexpected character");
-    ++Pos;
-    return true;
-  }
-
-  bool peekIs(char C) {
-    skipWs();
-    return Pos < Text.size() && Text[Pos] == C;
-  }
-
-  bool parseString(std::string &Out) {
-    skipWs();
-    if (Pos >= Text.size() || Text[Pos] != '"')
-      return fail("expected string");
-    ++Pos;
-    Out.clear();
-    while (Pos < Text.size() && Text[Pos] != '"') {
-      char C = Text[Pos++];
-      if (C != '\\') {
-        Out += C;
-        continue;
-      }
-      if (Pos >= Text.size())
-        return fail("truncated escape");
-      char E = Text[Pos++];
-      switch (E) {
-      case '"': Out += '"'; break;
-      case '\\': Out += '\\'; break;
-      case '/': Out += '/'; break;
-      case 'n': Out += '\n'; break;
-      case 't': Out += '\t'; break;
-      case 'r': Out += '\r'; break;
-      case 'u': {
-        if (Pos + 4 > Text.size())
-          return fail("truncated \\u escape");
-        unsigned V = 0;
-        for (int I = 0; I != 4; ++I) {
-          char H = Text[Pos++];
-          V <<= 4;
-          if (H >= '0' && H <= '9')
-            V |= H - '0';
-          else if (H >= 'a' && H <= 'f')
-            V |= H - 'a' + 10;
-          else if (H >= 'A' && H <= 'F')
-            V |= H - 'A' + 10;
-          else
-            return fail("bad \\u escape");
-        }
-        // The writer only emits \u00XX for control bytes.
-        Out += (char)(V & 0xff);
-        break;
-      }
-      default:
-        return fail("unknown escape");
-      }
-    }
-    if (Pos >= Text.size())
-      return fail("unterminated string");
-    ++Pos; // closing quote
-    return true;
-  }
-
-  bool parseUInt(uint64_t &Out) {
-    skipWs();
-    if (Pos >= Text.size() || Text[Pos] < '0' || Text[Pos] > '9')
-      return fail("expected number");
-    Out = 0;
-    while (Pos < Text.size() && Text[Pos] >= '0' && Text[Pos] <= '9')
-      Out = Out * 10 + (Text[Pos++] - '0');
-    return true;
-  }
-
-  bool parseBool(bool &Out) {
-    skipWs();
-    if (Text.substr(Pos, 4) == "true") {
-      Pos += 4;
-      Out = true;
-      return true;
-    }
-    if (Text.substr(Pos, 5) == "false") {
-      Pos += 5;
-      Out = false;
-      return true;
-    }
-    return fail("expected boolean");
-  }
-
-  /// Skips any value (for unknown keys — forward compatibility).
-  bool skipValue() {
-    skipWs();
-    if (Pos >= Text.size())
-      return fail("expected value");
-    char C = Text[Pos];
-    if (C == '"') {
-      std::string Tmp;
-      return parseString(Tmp);
-    }
-    if (C == '{' || C == '[') {
-      char Close = C == '{' ? '}' : ']';
-      ++Pos;
-      skipWs();
-      if (peekIs(Close)) {
-        ++Pos;
-        return true;
-      }
-      for (;;) {
-        if (C == '{') {
-          std::string Key;
-          if (!parseString(Key) || !expect(':'))
-            return false;
-        }
-        if (!skipValue())
-          return false;
-        skipWs();
-        if (peekIs(',')) {
-          ++Pos;
-          continue;
-        }
-        return expect(Close);
-      }
-    }
-    if (C == 't' || C == 'f') {
-      bool B;
-      return parseBool(B);
-    }
-    if (C == '-' || (C >= '0' && C <= '9')) {
-      if (C == '-')
-        ++Pos;
-      uint64_t N;
-      return parseUInt(N);
-    }
-    return fail("unsupported value");
-  }
-
-  /// Drives `{ "key": <value>, ... }` with a per-key callback.
-  template <typename KeyFn> bool parseObject(KeyFn &&OnKey) {
-    if (!expect('{'))
-      return false;
-    if (peekIs('}')) {
-      ++Pos;
-      return true;
-    }
-    for (;;) {
-      std::string Key;
-      if (!parseString(Key) || !expect(':'))
+bool readIncident(JsonReader &R, RootIncident &Inc) {
+  return R.readObject([&](const std::string &Key) {
+    if (Key == "root")
+      return R.readString(Inc.Root);
+    if (Key == "checker")
+      return R.readString(Inc.Checker);
+    if (Key == "outcome") {
+      std::string S;
+      if (!R.readString(S))
         return false;
-      if (!OnKey(Key))
-        return false;
-      skipWs();
-      if (peekIs(',')) {
-        ++Pos;
-        continue;
-      }
-      return expect('}');
+      Inc.Quarantined = S == "quarantined";
+      return Inc.Quarantined || S == "degraded" ||
+             R.fail("unknown incident outcome");
     }
-  }
+    if (Key == "fault")
+      return R.readBool(Inc.Fault);
+    if (Key == "stage")
+      return R.readUInt(Inc.Stage);
+    if (Key == "reason")
+      return R.readString(Inc.Reason);
+    return R.skipValue();
+  });
+}
 
-  bool parseReporting(ReportingOptions &R) {
-    return parseObject([&](const std::string &Key) {
-      uint64_t N;
-      if (Key == "show_stats")
-        return parseBool(R.ShowStats);
-      if (Key == "stats_json")
-        return parseString(R.StatsJsonPath);
-      if (Key == "trace_out")
-        return parseString(R.TraceOutPath);
-      if (Key == "profile_top_n") {
-        if (!parseUInt(N))
-          return false;
-        R.ProfileTopN = (unsigned)N;
-        return true;
-      }
-      if (Key == "explain_top_n") {
-        if (!parseUInt(N))
-          return false;
-        R.ExplainTopN = (unsigned)N;
-        return true;
-      }
-      if (Key == "capture_witness")
-        return parseBool(R.CaptureWitness);
-      if (Key == "deadline_ms")
-        return parseUInt(R.RootDeadlineMs);
-      if (Key == "fail_on") {
-        std::string S;
-        if (!parseString(S))
-          return false;
-        return parseFailPolicy(S, R.FailOn) || fail("unknown fail_on value");
-      }
-      return skipValue();
-    });
-  }
+bool readWitnessStep(JsonReader &R, ManifestWitnessStep &S) {
+  return R.readObject([&](const std::string &Key) {
+    if (Key == "kind")
+      return R.readString(S.Kind);
+    if (Key == "file")
+      return R.readString(S.File);
+    if (Key == "line")
+      return R.readUInt(S.Line);
+    if (Key == "depth")
+      return R.readUInt(S.Depth);
+    if (Key == "object")
+      return R.readString(S.Object);
+    if (Key == "from")
+      return R.readString(S.From);
+    if (Key == "to")
+      return R.readString(S.To);
+    return R.skipValue();
+  });
+}
 
-  bool parseOptions(EngineOptions &O) {
-    return parseObject([&](const std::string &Key) {
-      uint64_t N;
-      if (Key == "block_cache")
-        return parseBool(O.EnableBlockCache);
-      if (Key == "function_summaries")
-        return parseBool(O.EnableFunctionSummaries);
-      if (Key == "false_path_pruning")
-        return parseBool(O.EnableFalsePathPruning);
-      if (Key == "auto_kill")
-        return parseBool(O.EnableAutoKill);
-      if (Key == "synonyms")
-        return parseBool(O.EnableSynonyms);
-      if (Key == "interprocedural")
-        return parseBool(O.Interprocedural);
-      if (Key == "dispatch_index")
-        return parseBool(O.EnableDispatchIndex);
-      if (Key == "state_interning")
-        return parseBool(O.EnableStateInterning);
-      if (Key == "max_paths_per_function")
-        return parseUInt(O.MaxPathsPerFunction);
-      if (Key == "max_path_length") {
-        if (!parseUInt(N))
-          return false;
-        O.MaxPathLength = (unsigned)N;
-        return true;
-      }
-      if (Key == "max_call_depth") {
-        if (!parseUInt(N))
-          return false;
-        O.MaxCallDepth = (unsigned)N;
-        return true;
-      }
-      if (Key == "root_path_budget")
-        return parseUInt(O.RootPathBudget);
-      if (Key == "max_active_states")
-        return parseUInt(O.MaxActiveStates);
-      if (Key == "jobs") {
-        if (!parseUInt(N))
-          return false;
-        O.Jobs = (unsigned)N;
-        return true;
-      }
-      if (Key == "reporting")
-        return parseReporting(O.Reporting);
-      return skipValue();
-    });
-  }
+bool readWitness(JsonReader &R, ManifestWitness &W) {
+  return R.readObject([&](const std::string &Key) {
+    if (Key == "checker")
+      return R.readString(W.Checker);
+    if (Key == "file")
+      return R.readString(W.File);
+    if (Key == "line")
+      return R.readUInt(W.Line);
+    if (Key == "message")
+      return R.readString(W.Message);
+    if (Key == "dropped_steps")
+      return R.readUInt(W.DroppedSteps);
+    if (Key == "steps")
+      return R.readArray(
+          [&] { return readWitnessStep(R, W.Steps.emplace_back()); });
+    return R.skipValue();
+  });
+}
 
-  bool parseMetrics(MetricsSnapshot &M) {
-    return parseObject([&](const std::string &Key) {
-      uint64_t N;
-      if (!parseUInt(N))
-        return false;
-      M.add(Key, N);
-      return true;
-    });
-  }
+bool readReport(JsonReader &R, ManifestReport &Rep) {
+  return R.readObject([&](const std::string &Key) {
+    if (Key == "checker")
+      return R.readString(Rep.Checker);
+    if (Key == "file")
+      return R.readString(Rep.File);
+    if (Key == "line")
+      return R.readUInt(Rep.Line);
+    if (Key == "message")
+      return R.readString(Rep.Message);
+    if (Key == "fingerprint")
+      return R.readString(Rep.Fingerprint);
+    if (Key == "lifecycle")
+      return R.readString(Rep.Lifecycle);
+    return R.skipValue();
+  });
+}
 
-  bool parseIncident(RootIncident &Inc) {
-    return parseObject([&](const std::string &Key) {
-      if (Key == "root")
-        return parseString(Inc.Root);
-      if (Key == "checker")
-        return parseString(Inc.Checker);
-      if (Key == "outcome") {
-        std::string S;
-        if (!parseString(S))
-          return false;
-        Inc.Quarantined = S == "quarantined";
-        return Inc.Quarantined || S == "degraded" ||
-               fail("unknown incident outcome");
-      }
-      if (Key == "fault")
-        return parseBool(Inc.Fault);
-      if (Key == "stage") {
-        uint64_t N;
-        if (!parseUInt(N))
-          return false;
-        Inc.Stage = (unsigned)N;
-        return true;
-      }
-      if (Key == "reason")
-        return parseString(Inc.Reason);
-      return skipValue();
-    });
-  }
-
-  bool parseIncidents(std::vector<RootIncident> &Out) {
-    if (!expect('['))
-      return false;
-    if (peekIs(']')) {
-      ++Pos;
-      return true;
-    }
-    for (;;) {
-      RootIncident Inc;
-      if (!parseIncident(Inc))
-        return false;
-      Out.push_back(std::move(Inc));
-      skipWs();
-      if (peekIs(',')) {
-        ++Pos;
-        continue;
-      }
-      return expect(']');
-    }
-  }
-
-  bool parseWitnessStep(ManifestWitnessStep &S) {
-    return parseObject([&](const std::string &Key) {
-      if (Key == "kind")
-        return parseString(S.Kind);
-      if (Key == "file")
-        return parseString(S.File);
-      if (Key == "line")
-        return parseUInt(S.Line);
-      if (Key == "depth")
-        return parseUInt(S.Depth);
-      if (Key == "object")
-        return parseString(S.Object);
-      if (Key == "from")
-        return parseString(S.From);
-      if (Key == "to")
-        return parseString(S.To);
-      return skipValue();
-    });
-  }
-
-  bool parseWitness(ManifestWitness &W) {
-    return parseObject([&](const std::string &Key) {
-      if (Key == "checker")
-        return parseString(W.Checker);
-      if (Key == "file")
-        return parseString(W.File);
-      if (Key == "line")
-        return parseUInt(W.Line);
-      if (Key == "message")
-        return parseString(W.Message);
-      if (Key == "dropped_steps")
-        return parseUInt(W.DroppedSteps);
-      if (Key == "steps") {
-        if (!expect('['))
-          return false;
-        if (peekIs(']')) {
-          ++Pos;
-          return true;
-        }
-        for (;;) {
-          ManifestWitnessStep S;
-          if (!parseWitnessStep(S))
-            return false;
-          W.Steps.push_back(std::move(S));
-          skipWs();
-          if (peekIs(',')) {
-            ++Pos;
-            continue;
-          }
-          return expect(']');
-        }
-      }
-      return skipValue();
-    });
-  }
-
-  bool parseWitnesses(std::vector<ManifestWitness> &Out) {
-    if (!expect('['))
-      return false;
-    if (peekIs(']')) {
-      ++Pos;
-      return true;
-    }
-    for (;;) {
-      ManifestWitness W;
-      if (!parseWitness(W))
-        return false;
-      Out.push_back(std::move(W));
-      skipWs();
-      if (peekIs(',')) {
-        ++Pos;
-        continue;
-      }
-      return expect(']');
-    }
-  }
-
-  bool parseReport(ManifestReport &R) {
-    return parseObject([&](const std::string &Key) {
-      if (Key == "checker")
-        return parseString(R.Checker);
-      if (Key == "file")
-        return parseString(R.File);
-      if (Key == "line")
-        return parseUInt(R.Line);
-      if (Key == "message")
-        return parseString(R.Message);
-      if (Key == "fingerprint")
-        return parseString(R.Fingerprint);
-      if (Key == "lifecycle")
-        return parseString(R.Lifecycle);
-      return skipValue();
-    });
-  }
-
-  bool parseReports(std::vector<ManifestReport> &Out) {
-    if (!expect('['))
-      return false;
-    if (peekIs(']')) {
-      ++Pos;
-      return true;
-    }
-    for (;;) {
-      ManifestReport R;
-      if (!parseReport(R))
-        return false;
-      Out.push_back(std::move(R));
-      skipWs();
-      if (peekIs(',')) {
-        ++Pos;
-        continue;
-      }
-      return expect(']');
-    }
-  }
-
-  bool parseBaseline(ManifestBaseline &B) {
-    B.Enabled = true; // The key is only written when a baseline was active.
-    return parseObject([&](const std::string &Key) {
-      if (Key == "run")
-        return parseUInt(B.RunOrdinal);
-      if (Key == "new")
-        return parseUInt(B.NewCount);
-      if (Key == "known")
-        return parseUInt(B.KnownCount);
-      if (Key == "fixed")
-        return parseUInt(B.FixedCount);
-      if (Key == "suppressed")
-        return parseUInt(B.SuppressedCount);
-      return skipValue();
-    });
-  }
-
-  bool parseManifestObject(RunManifest &Out) {
-    return parseObject([&](const std::string &Key) {
-      if (Key == "schema")
-        return parseString(Out.Schema);
-      if (Key == "tool")
-        return parseString(Out.Tool);
-      if (Key == "version")
-        return parseString(Out.Version);
-      if (Key == "parse_ok")
-        return parseBool(Out.ParseOk);
-      if (Key == "report_count")
-        return parseUInt(Out.ReportCount);
-      if (Key == "reports")
-        return parseReports(Out.Reports);
-      if (Key == "baseline")
-        return parseBaseline(Out.Baseline);
-      if (Key == "options")
-        return parseOptions(Out.Options);
-      if (Key == "metrics")
-        return parseMetrics(Out.Metrics);
-      if (Key == "incidents")
-        return parseIncidents(Out.Incidents);
-      if (Key == "witnesses")
-        return parseWitnesses(Out.Witnesses);
-      return skipValue();
-    });
-  }
-};
+bool readBaseline(JsonReader &R, ManifestBaseline &B) {
+  B.Enabled = true; // The key is only written when a baseline was active.
+  return R.readObject([&](const std::string &Key) {
+    if (Key == "run")
+      return R.readUInt(B.RunOrdinal);
+    if (Key == "new")
+      return R.readUInt(B.NewCount);
+    if (Key == "known")
+      return R.readUInt(B.KnownCount);
+    if (Key == "fixed")
+      return R.readUInt(B.FixedCount);
+    if (Key == "suppressed")
+      return R.readUInt(B.SuppressedCount);
+    return R.skipValue();
+  });
+}
 
 } // namespace
 
 bool mc::parseRunManifest(std::string_view Text, RunManifest &Out,
                           std::string *Err) {
-  ManifestParser P(Text, Err);
-  RunManifest Parsed;
-  // Clear the defaults that accumulate (the rest are overwritten by parse).
-  Parsed.Metrics = MetricsSnapshot();
-  Parsed.Incidents.clear();
-  Parsed.Witnesses.clear();
-  Parsed.Reports.clear();
-  if (!P.parse(Parsed))
+  JsonReader R(Text, Err);
+  RunManifest M;
+  bool Ok = R.readObject([&](const std::string &Key) {
+    if (Key == "schema")
+      return R.readString(M.Schema);
+    if (Key == "tool")
+      return R.readString(M.Tool);
+    if (Key == "version")
+      return R.readString(M.Version);
+    if (Key == "parse_ok")
+      return R.readBool(M.ParseOk);
+    if (Key == "report_count")
+      return R.readUInt(M.ReportCount);
+    if (Key == "reports")
+      return R.readArray(
+          [&] { return readReport(R, M.Reports.emplace_back()); });
+    if (Key == "baseline")
+      return readBaseline(R, M.Baseline);
+    if (Key == "options")
+      return readOptions(R, M.Options);
+    if (Key == "metrics")
+      return R.readObject([&](const std::string &Name) {
+        uint64_t N;
+        if (!R.readUInt(N))
+          return false;
+        M.Metrics.add(Name, N);
+        return true;
+      });
+    if (Key == "incidents")
+      return R.readArray(
+          [&] { return readIncident(R, M.Incidents.emplace_back()); });
+    if (Key == "witnesses")
+      return R.readArray(
+          [&] { return readWitness(R, M.Witnesses.emplace_back()); });
+    return R.skipValue();
+  });
+  if (!Ok)
     return false;
-  Out = std::move(Parsed);
+  if (!R.atEnd())
+    return R.fail("trailing content after manifest object");
+  Out = std::move(M);
   return true;
 }
 

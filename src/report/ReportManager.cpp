@@ -7,6 +7,7 @@
 #include "report/ReportManager.h"
 
 #include "support/Hash.h"
+#include "support/Json.h"
 #include "support/RawOstream.h"
 
 #include <algorithm>
@@ -168,25 +169,6 @@ ReportManager::suppressFingerprints(const std::set<uint64_t> &Suppressed) {
   return Before - Reports.size();
 }
 
-void mc::writeJsonString(raw_ostream &OS, std::string_view S) {
-  OS << '"';
-  for (char C : S) {
-    switch (C) {
-    case '"': OS << "\\\""; break;
-    case '\\': OS << "\\\\"; break;
-    case '\n': OS << "\\n"; break;
-    case '\t': OS << "\\t"; break;
-    case '\r': OS << "\\r"; break;
-    default:
-      if ((unsigned char)C < 0x20)
-        OS.printf("\\u%04x", C);
-      else
-        OS << C;
-    }
-  }
-  OS << '"';
-}
-
 void mc::renderIncidentsJson(raw_ostream &OS,
                              const std::vector<RootIncident> &Incidents) {
   OS << '[';
@@ -229,35 +211,26 @@ void mc::renderIncidentsText(raw_ostream &OS,
   }
 }
 
-namespace {
-
-/// Local alias so the report array below reads as before.
-void jsonEscape(raw_ostream &OS, const std::string &S) {
-  writeJsonString(OS, S);
-}
-
-} // namespace
-
 void ReportManager::printJson(raw_ostream &OS, RankPolicy Policy) const {
   std::vector<size_t> Order = ranked(Policy);
   OS << "[\n";
   for (size_t Rank = 0; Rank != Order.size(); ++Rank) {
     const ErrorReport &R = Reports[Order[Rank]];
     OS << "  {\"rank\": " << (Rank + 1) << ", \"checker\": ";
-    jsonEscape(OS, R.CheckerName);
+    writeJsonString(OS, R.CheckerName);
     OS << ", \"file\": ";
-    jsonEscape(OS, R.File);
+    writeJsonString(OS, R.File);
     OS << ", \"line\": " << R.Line << ", \"function\": ";
-    jsonEscape(OS, R.FunctionName);
+    writeJsonString(OS, R.FunctionName);
     OS << ", \"message\": ";
-    jsonEscape(OS, R.Message);
+    writeJsonString(OS, R.Message);
     if (!R.Annotation.empty()) {
       OS << ", \"class\": ";
-      jsonEscape(OS, R.Annotation);
+      writeJsonString(OS, R.Annotation);
     }
     if (!R.RuleKey.empty()) {
       OS << ", \"rule\": ";
-      jsonEscape(OS, R.RuleKey);
+      writeJsonString(OS, R.RuleKey);
       OS.printf(", \"z\": %.4f", ruleZ(R.RuleKey));
     }
     OS << ", \"interprocedural\": " << (R.Interprocedural ? "true" : "false")
@@ -268,7 +241,7 @@ void ReportManager::printJson(raw_ostream &OS, RankPolicy Policy) const {
     OS << ", \"fingerprint\": \"" << Hex << '"';
     if (auto It = Lifecycle.find(R.Fingerprint); It != Lifecycle.end()) {
       OS << ", \"lifecycle\": ";
-      jsonEscape(OS, It->second);
+      writeJsonString(OS, It->second);
     }
     OS << "}";
     if (Rank + 1 != Order.size())

@@ -166,11 +166,6 @@ private:
 /// edits" — file, function, variable names, and the message (Section 8).
 std::string historyKey(const ErrorReport &R);
 
-/// Writes \p S as a JSON string literal (quoted, escaped). Shared by every
-/// JSON surface — reports, the incident trailer, the run manifest — so they
-/// all escape identically.
-void writeJsonString(raw_ostream &OS, std::string_view S);
-
 /// Renders \p Incidents as the JSON array (just the `[...]`) used both by
 /// printJson's {"analysis_incomplete": ...} trailer and by the run
 /// manifest's "incidents" field — one serializer, two views.

@@ -6,8 +6,8 @@
 
 #include "service/Protocol.h"
 
-#include "report/ReportManager.h" // writeJsonString
 #include "support/Hash.h"
+#include "support/Json.h"
 #include "support/RawOstream.h"
 
 using namespace mc;
@@ -77,6 +77,13 @@ void writePairArray(raw_ostream &OS, const char *Key, const char *AKey,
 
 const char *jsonBool(bool B) { return B ? "true" : "false"; }
 
+template <typename T> std::string lineOf(const T &Message) {
+  std::string Buf;
+  raw_string_ostream OS(Buf);
+  Message.serialize(OS);
+  return Buf;
+}
+
 } // namespace
 
 void ServiceRequest::serialize(raw_ostream &OS) const {
@@ -118,11 +125,7 @@ void ServiceRequest::serialize(raw_ostream &OS) const {
 }
 
 std::string ServiceRequest::serializeToString() const {
-  std::string Buf;
-  raw_string_ostream OS(Buf);
-  serialize(OS);
-  OS.flush();
-  return Buf;
+  return lineOf(*this);
 }
 
 uint64_t ServiceRequest::fingerprint() const {
@@ -150,11 +153,7 @@ void ServiceResponse::serialize(raw_ostream &OS) const {
 }
 
 std::string ServiceResponse::serializeToString() const {
-  std::string Buf;
-  raw_string_ostream OS(Buf);
-  serialize(OS);
-  OS.flush();
-  return Buf;
+  return lineOf(*this);
 }
 
 //===----------------------------------------------------------------------===//
@@ -163,331 +162,146 @@ std::string ServiceResponse::serializeToString() const {
 
 namespace {
 
-/// The same strict-subset recursive-descent shape as the manifest reader —
-/// objects, arrays, strings, unsigned integers, booleans; unknown keys skip.
-struct LineParser {
-  std::string_view Text;
-  size_t Pos = 0;
-  std::string *Err;
-
-  LineParser(std::string_view T, std::string *E) : Text(T), Err(E) {}
-
-  bool fail(const char *Why) {
-    if (Err && Err->empty())
-      *Err = Why;
-    return false;
-  }
-
-  void skipWs() {
-    while (Pos < Text.size() &&
-           (Text[Pos] == ' ' || Text[Pos] == '\t' || Text[Pos] == '\n' ||
-            Text[Pos] == '\r'))
-      ++Pos;
-  }
-
-  bool expect(char C) {
-    skipWs();
-    if (Pos >= Text.size() || Text[Pos] != C)
-      return fail("unexpected character");
-    ++Pos;
-    return true;
-  }
-
-  bool peekIs(char C) {
-    skipWs();
-    return Pos < Text.size() && Text[Pos] == C;
-  }
-
-  bool parseString(std::string &Out) {
-    skipWs();
-    if (Pos >= Text.size() || Text[Pos] != '"')
-      return fail("expected string");
-    ++Pos;
-    Out.clear();
-    while (Pos < Text.size() && Text[Pos] != '"') {
-      char C = Text[Pos++];
-      if (C != '\\') {
-        Out += C;
-        continue;
-      }
-      if (Pos >= Text.size())
-        return fail("truncated escape");
-      char E = Text[Pos++];
-      switch (E) {
-      case '"':
-        Out += '"';
-        break;
-      case '\\':
-        Out += '\\';
-        break;
-      case '/':
-        Out += '/';
-        break;
-      case 'n':
-        Out += '\n';
-        break;
-      case 't':
-        Out += '\t';
-        break;
-      case 'r':
-        Out += '\r';
-        break;
-      case 'u': {
-        if (Pos + 4 > Text.size())
-          return fail("truncated \\u escape");
-        unsigned V = 0;
-        for (int I = 0; I != 4; ++I) {
-          char H = Text[Pos++];
-          V <<= 4;
-          if (H >= '0' && H <= '9')
-            V |= H - '0';
-          else if (H >= 'a' && H <= 'f')
-            V |= H - 'a' + 10;
-          else if (H >= 'A' && H <= 'F')
-            V |= H - 'A' + 10;
-          else
-            return fail("bad \\u escape");
-        }
-        // The writer only emits \u00XX for control bytes.
-        Out += (char)(V & 0xff);
-        break;
-      }
-      default:
-        return fail("unknown escape");
-      }
-    }
-    if (Pos >= Text.size())
-      return fail("unterminated string");
-    ++Pos;
-    return true;
-  }
-
-  bool parseUInt(uint64_t &Out) {
-    skipWs();
-    if (Pos >= Text.size() || Text[Pos] < '0' || Text[Pos] > '9')
-      return fail("expected number");
-    Out = 0;
-    while (Pos < Text.size() && Text[Pos] >= '0' && Text[Pos] <= '9')
-      Out = Out * 10 + (Text[Pos++] - '0');
-    return true;
-  }
-
-  bool parseBool(bool &Out) {
-    skipWs();
-    if (Text.substr(Pos, 4) == "true") {
-      Pos += 4;
-      Out = true;
-      return true;
-    }
-    if (Text.substr(Pos, 5) == "false") {
-      Pos += 5;
-      Out = false;
-      return true;
-    }
-    return fail("expected boolean");
-  }
-
-  bool skipValue() {
-    skipWs();
-    if (Pos >= Text.size())
-      return fail("expected value");
-    char C = Text[Pos];
-    if (C == '"') {
-      std::string Tmp;
-      return parseString(Tmp);
-    }
-    if (C == '{')
-      return parseObject([&](const std::string &) { return skipValue(); });
-    if (C == '[')
-      return parseArray([&] { return skipValue(); });
-    if (C == 't' || C == 'f') {
-      bool B;
-      return parseBool(B);
-    }
-    uint64_t N;
-    return parseUInt(N);
-  }
-
-  /// {"key": value, ...} — \p OnKey consumes each value.
-  template <typename Fn> bool parseObject(Fn &&OnKey) {
-    if (!expect('{'))
-      return false;
-    if (peekIs('}')) {
-      ++Pos;
-      return true;
-    }
-    for (;;) {
-      std::string Key;
-      if (!parseString(Key) || !expect(':'))
-        return false;
-      if (!OnKey(Key))
-        return false;
-      skipWs();
-      if (peekIs(',')) {
-        ++Pos;
-        continue;
-      }
-      return expect('}');
-    }
-  }
-
-  /// [value, ...] — \p OnItem consumes each element.
-  template <typename Fn> bool parseArray(Fn &&OnItem) {
-    if (!expect('['))
-      return false;
-    if (peekIs(']')) {
-      ++Pos;
-      return true;
-    }
-    for (;;) {
-      if (!OnItem())
-        return false;
-      skipWs();
-      if (peekIs(',')) {
-        ++Pos;
-        continue;
-      }
-      return expect(']');
-    }
-  }
-
-  bool parseStringArray(std::vector<std::string> &Out) {
-    Out.clear();
-    return parseArray([&] {
-      std::string S;
-      if (!parseString(S))
-        return false;
-      Out.push_back(std::move(S));
-      return true;
+bool readPairArray(JsonReader &R, const char *AKey, const char *BKey,
+                   std::vector<std::pair<std::string, std::string>> &Out) {
+  Out.clear();
+  return R.readArray([&] {
+    std::pair<std::string, std::string> &P = Out.emplace_back();
+    return R.readObject([&](const std::string &Key) {
+      if (Key == AKey)
+        return R.readString(P.first);
+      if (Key == BKey)
+        return R.readString(P.second);
+      return R.skipValue();
     });
-  }
+  });
+}
 
-  bool parsePairArray(const char *AKey, const char *BKey,
-                      std::vector<std::pair<std::string, std::string>> &Out) {
-    Out.clear();
-    return parseArray([&] {
-      std::pair<std::string, std::string> P;
-      if (!parseObject([&](const std::string &Key) {
-            if (Key == AKey)
-              return parseString(P.first);
-            if (Key == BKey)
-              return parseString(P.second);
-            return skipValue();
+/// A histogram's "data" object. "count" is derived from the buckets, so it
+/// skips like any unknown key.
+bool readHistogram(JsonReader &R, HistogramSnapshot &Snap) {
+  return R.readObject([&](const std::string &Key) {
+    if (Key == "sum")
+      return R.readUInt(Snap.Sum);
+    if (Key != "buckets")
+      return R.skipValue();
+    return R.readArray([&] {
+      uint64_t B = 0, N = 0;
+      if (!R.readObject([&](const std::string &BK) {
+            if (BK == "b")
+              return R.readUInt(B);
+            if (BK == "n")
+              return R.readUInt(N);
+            return R.skipValue();
           }))
         return false;
-      Out.push_back(std::move(P));
+      if (B >= HistogramSnapshot::kBuckets)
+        return R.fail("bucket index out of range");
+      Snap.Buckets[B] = N;
       return true;
     });
-  }
+  });
+}
 
-  bool atEnd() {
-    skipWs();
-    return Pos == Text.size();
-  }
-};
+/// Reads one whole line as an object of \p Schema: \p OnKey handles every
+/// key but "schema"; the line must end after the object.
+template <typename Fn>
+bool readLine(std::string_view Line, std::string *Err, const char *Schema,
+              Fn &&OnKey) {
+  JsonReader R(Line, Err);
+  std::string Seen;
+  if (!R.readObject([&](const std::string &Key) {
+        return Key == "schema" ? R.readString(Seen) : OnKey(R, Key);
+      }))
+    return false;
+  if (!R.atEnd())
+    return R.fail("trailing bytes after the object");
+  if (Seen != Schema)
+    return R.fail(std::string("not an ") + Schema + " line");
+  return true;
+}
 
 } // namespace
 
 bool ServiceRequest::parse(std::string_view Line, std::string *Err) {
-  if (Err)
-    Err->clear();
-  LineParser P(Line, Err);
-  ServiceRequest R;
-  std::string Schema;
-  bool Ok = P.parseObject([&](const std::string &Key) -> bool {
-    if (Key == "schema")
-      return P.parseString(Schema);
+  ServiceRequest Q;
+  RunRequest::EngineKnobs &K = Q.Options;
+  auto OnKey = [&](JsonReader &R, const std::string &Key) {
     if (Key == "id")
-      return P.parseString(R.Id);
+      return R.readString(Q.Id);
     if (Key == "files")
-      return P.parseStringArray(R.Files);
+      return R.readStringArray(Q.Files);
     if (Key == "checkers")
-      return P.parseStringArray(R.Checkers);
+      return R.readStringArray(Q.Checkers);
     if (Key == "metal")
-      return P.parsePairArray("name", "source", R.Metal);
+      return readPairArray(R, "name", "source", Q.Metal);
     if (Key == "include_dirs")
-      return P.parseStringArray(R.IncludeDirs);
+      return R.readStringArray(Q.IncludeDirs);
     if (Key == "defines")
-      return P.parsePairArray("name", "value", R.Defines);
-    if (Key == "jobs") {
-      uint64_t N;
-      if (!P.parseUInt(N))
-        return false;
-      R.Jobs = unsigned(N);
-      return true;
-    }
+      return readPairArray(R, "name", "value", Q.Defines);
+    if (Key == "jobs")
+      return R.readUInt(Q.Jobs);
     if (Key == "deadline_ms")
-      return P.parseUInt(R.DeadlineMs);
+      return R.readUInt(Q.DeadlineMs);
     if (Key == "rank")
-      return P.parseString(R.Rank);
+      return R.readString(Q.Rank);
     if (Key == "format")
-      return P.parseString(R.Format);
-    if (Key == "explain_top_n") {
-      uint64_t N;
-      if (!P.parseUInt(N))
-        return false;
-      R.ExplainTopN = unsigned(N);
-      return true;
-    }
+      return R.readString(Q.Format);
+    if (Key == "explain_top_n")
+      return R.readUInt(Q.ExplainTopN);
     if (Key == "keep_going")
-      return P.parseBool(R.KeepGoing);
+      return R.readBool(Q.KeepGoing);
     if (Key == "baseline")
-      return P.parseString(R.Baseline);
+      return R.readString(Q.Baseline);
     if (Key == "suppress_known")
-      return P.parseBool(R.SuppressKnown);
+      return R.readBool(Q.SuppressKnown);
     if (Key == "options")
-      return P.parseObject([&](const std::string &K) -> bool {
-        if (K == "block_cache")
-          return P.parseBool(R.Options.BlockCache);
-        if (K == "function_summaries")
-          return P.parseBool(R.Options.FunctionSummaries);
-        if (K == "false_path_pruning")
-          return P.parseBool(R.Options.FalsePathPruning);
-        if (K == "dispatch_index")
-          return P.parseBool(R.Options.DispatchIndex);
-        if (K == "state_interning")
-          return P.parseBool(R.Options.StateInterning);
-        if (K == "interprocedural")
-          return P.parseBool(R.Options.Interprocedural);
-        if (K == "root_deadline_ms")
-          return P.parseUInt(R.Options.RootDeadlineMs);
-        if (K == "root_path_budget")
-          return P.parseUInt(R.Options.RootPathBudget);
-        if (K == "max_active_states")
-          return P.parseUInt(R.Options.MaxActiveStates);
-        if (K == "fail_on")
-          return P.parseString(R.Options.FailOn);
-        return P.skipValue();
+      return R.readObject([&](const std::string &O) {
+        if (O == "block_cache")
+          return R.readBool(K.BlockCache);
+        if (O == "function_summaries")
+          return R.readBool(K.FunctionSummaries);
+        if (O == "false_path_pruning")
+          return R.readBool(K.FalsePathPruning);
+        if (O == "dispatch_index")
+          return R.readBool(K.DispatchIndex);
+        if (O == "state_interning")
+          return R.readBool(K.StateInterning);
+        if (O == "interprocedural")
+          return R.readBool(K.Interprocedural);
+        if (O == "root_deadline_ms")
+          return R.readUInt(K.RootDeadlineMs);
+        if (O == "root_path_budget")
+          return R.readUInt(K.RootPathBudget);
+        if (O == "max_active_states")
+          return R.readUInt(K.MaxActiveStates);
+        if (O == "fail_on")
+          return R.readString(K.FailOn);
+        return R.skipValue();
       });
     if (Key == "inject")
-      return P.parseObject([&](const std::string &K) -> bool {
-        if (K == "slow_ms")
-          return P.parseUInt(R.InjectKnobs.SlowMs);
-        if (K == "die")
-          return P.parseBool(R.InjectKnobs.Die);
-        if (K == "poison_checker")
-          return P.parseBool(R.InjectKnobs.PoisonChecker);
-        return P.skipValue();
+      return R.readObject([&](const std::string &I) {
+        if (I == "slow_ms")
+          return R.readUInt(Q.InjectKnobs.SlowMs);
+        if (I == "die")
+          return R.readBool(Q.InjectKnobs.Die);
+        if (I == "poison_checker")
+          return R.readBool(Q.InjectKnobs.PoisonChecker);
+        return R.skipValue();
       });
-    return P.skipValue();
-  });
-  if (!Ok)
+    return R.skipValue();
+  };
+  if (!readLine(Line, Err, kServiceRequestSchema, OnKey))
     return false;
-  if (!P.atEnd())
-    return P.fail("trailing bytes after request");
-  if (Schema != kServiceRequestSchema)
-    return P.fail("not an mc.service-request.v1 line");
-  *this = std::move(R);
+  *this = std::move(Q);
   return true;
 }
 
 std::string mc::peekServiceSchema(std::string_view Line) {
-  LineParser P(Line, nullptr);
+  JsonReader R(Line, nullptr);
   std::string Schema;
-  P.parseObject([&](const std::string &Key) {
-    if (Key == "schema")
-      return P.parseString(Schema);
-    return P.skipValue();
+  R.readObject([&](const std::string &Key) {
+    return Key == "schema" ? R.readString(Schema) : R.skipValue();
   });
   return Schema; // Whatever was seen before any malformed tail.
 }
@@ -503,33 +317,17 @@ void ServiceStatusRequest::serialize(raw_ostream &OS) const {
 }
 
 std::string ServiceStatusRequest::serializeToString() const {
-  std::string Buf;
-  raw_string_ostream OS(Buf);
-  serialize(OS);
-  OS.flush();
-  return Buf;
+  return lineOf(*this);
 }
 
 bool ServiceStatusRequest::parse(std::string_view Line, std::string *Err) {
-  if (Err)
-    Err->clear();
-  LineParser P(Line, Err);
-  ServiceStatusRequest R;
-  std::string Schema;
-  bool Ok = P.parseObject([&](const std::string &Key) -> bool {
-    if (Key == "schema")
-      return P.parseString(Schema);
-    if (Key == "id")
-      return P.parseString(R.Id);
-    return P.skipValue();
-  });
-  if (!Ok)
+  ServiceStatusRequest Q;
+  if (!readLine(Line, Err, kServiceStatusRequestSchema,
+                [&](JsonReader &R, const std::string &Key) {
+                  return Key == "id" ? R.readString(Q.Id) : R.skipValue();
+                }))
     return false;
-  if (!P.atEnd())
-    return P.fail("trailing bytes after status request");
-  if (Schema != kServiceStatusRequestSchema)
-    return P.fail("not an mc.service-status.v1 line");
-  *this = std::move(R);
+  *this = std::move(Q);
   return true;
 }
 
@@ -571,178 +369,113 @@ void ServiceStatusReply::serialize(raw_ostream &OS) const {
 }
 
 std::string ServiceStatusReply::serializeToString() const {
-  std::string Buf;
-  raw_string_ostream OS(Buf);
-  serialize(OS);
-  OS.flush();
-  return Buf;
+  return lineOf(*this);
 }
 
 bool ServiceResponse::parse(std::string_view Line, std::string *Err) {
-  if (Err)
-    Err->clear();
-  LineParser P(Line, Err);
-  ServiceResponse R;
-  std::string Schema;
-  bool Ok = P.parseObject([&](const std::string &Key) -> bool {
-    if (Key == "schema")
-      return P.parseString(Schema);
+  ServiceResponse Q;
+  auto OnKey = [&](JsonReader &R, const std::string &Key) {
     if (Key == "id")
-      return P.parseString(R.Id);
+      return R.readString(Q.Id);
     if (Key == "status") {
       std::string S;
-      if (!P.parseString(S))
-        return false;
-      return parseServiceStatus(S, R.Status) || P.fail("unknown status");
+      return R.readString(S) &&
+             (parseServiceStatus(S, Q.Status) || R.fail("unknown status"));
     }
-    if (Key == "exit_code") {
-      uint64_t N;
-      if (!P.parseUInt(N))
-        return false;
-      R.ExitCode = unsigned(N);
-      return true;
-    }
+    if (Key == "exit_code")
+      return R.readUInt(Q.ExitCode);
     if (Key == "queue_ms")
-      return P.parseUInt(R.QueueMs);
+      return R.readUInt(Q.QueueMs);
     if (Key == "run_ms")
-      return P.parseUInt(R.RunMs);
+      return R.readUInt(Q.RunMs);
     if (Key == "error")
-      return P.parseString(R.Error);
+      return R.readString(Q.Error);
     if (Key == "output")
-      return P.parseString(R.Output);
+      return R.readString(Q.Output);
     if (Key == "log")
-      return P.parseString(R.Log);
+      return R.readString(Q.Log);
     if (Key == "manifest")
-      return P.parseString(R.Manifest);
-    return P.skipValue();
-  });
-  if (!Ok)
+      return R.readString(Q.Manifest);
+    return R.skipValue();
+  };
+  if (!readLine(Line, Err, kServiceResponseSchema, OnKey))
     return false;
-  if (!P.atEnd())
-    return P.fail("trailing bytes after response");
-  if (Schema != kServiceResponseSchema)
-    return P.fail("not an mc.service-response.v1 line");
-  *this = std::move(R);
+  *this = std::move(Q);
   return true;
 }
 
 bool ServiceStatusReply::parse(std::string_view Line, std::string *Err) {
-  if (Err)
-    Err->clear();
-  LineParser P(Line, Err);
-  ServiceStatusReply R;
-  std::string Schema;
-
-  auto ParseHistData = [&](HistogramSnapshot &Snap) {
-    return P.parseObject([&](const std::string &K) -> bool {
-      if (K == "sum")
-        return P.parseUInt(Snap.Sum);
-      if (K == "buckets")
-        return P.parseArray([&] {
-          uint64_t B = 0, N = 0;
-          if (!P.parseObject([&](const std::string &BK) -> bool {
-                if (BK == "b")
-                  return P.parseUInt(B);
-                if (BK == "n")
-                  return P.parseUInt(N);
-                return P.skipValue();
-              }))
-            return false;
-          if (B >= HistogramSnapshot::kBuckets)
-            return P.fail("bucket index out of range");
-          Snap.Buckets[B] = N;
-          return true;
-        });
-      // "count" is derived from the buckets; skip it (and unknowns).
-      return P.skipValue();
-    });
-  };
-
-  bool Ok = P.parseObject([&](const std::string &Key) -> bool {
-    if (Key == "schema")
-      return P.parseString(Schema);
+  ServiceStatusReply Q;
+  auto OnKey = [&](JsonReader &R, const std::string &Key) {
     if (Key == "id")
-      return P.parseString(R.Id);
+      return R.readString(Q.Id);
     if (Key == "uptime_ms")
-      return P.parseUInt(R.UptimeMs);
+      return R.readUInt(Q.UptimeMs);
     if (Key == "requests")
-      return P.parseObject([&](const std::string &K) -> bool {
+      return R.readObject([&](const std::string &K) {
         if (K == "ok")
-          return P.parseUInt(R.Ok);
+          return R.readUInt(Q.Ok);
         if (K == "incomplete")
-          return P.parseUInt(R.Incomplete);
+          return R.readUInt(Q.Incomplete);
         if (K == "overloaded")
-          return P.parseUInt(R.Overloaded);
+          return R.readUInt(Q.Overloaded);
         if (K == "retriable")
-          return P.parseUInt(R.Retriable);
+          return R.readUInt(Q.Retriable);
         if (K == "error")
-          return P.parseUInt(R.Error);
+          return R.readUInt(Q.Error);
         if (K == "total")
-          return P.parseUInt(R.Total);
-        return P.skipValue();
+          return R.readUInt(Q.Total);
+        return R.skipValue();
       });
     if (Key == "peak_queue_depth")
-      return P.parseUInt(R.PeakQueueDepth);
+      return R.readUInt(Q.PeakQueueDepth);
     if (Key == "quarantine")
-      return P.parseArray([&] {
-        QuarantineEntry E;
-        if (!P.parseObject([&](const std::string &K) -> bool {
-              if (K == "checker")
-                return P.parseString(E.Checker);
-              if (K == "remaining")
-                return P.parseUInt(E.Remaining);
-              if (K == "faults")
-                return P.parseUInt(E.Faults);
-              return P.skipValue();
-            }))
-          return false;
-        R.Quarantine.push_back(std::move(E));
-        return true;
+      return R.readArray([&] {
+        QuarantineEntry &E = Q.Quarantine.emplace_back();
+        return R.readObject([&](const std::string &K) {
+          if (K == "checker")
+            return R.readString(E.Checker);
+          if (K == "remaining")
+            return R.readUInt(E.Remaining);
+          if (K == "faults")
+            return R.readUInt(E.Faults);
+          return R.skipValue();
+        });
       });
     if (Key == "baselines")
-      return P.parseStringArray(R.Baselines);
+      return R.readStringArray(Q.Baselines);
     if (Key == "cache")
-      return P.parseArray([&] {
-        std::pair<std::string, uint64_t> C;
-        if (!P.parseObject([&](const std::string &K) -> bool {
-              if (K == "name")
-                return P.parseString(C.first);
-              if (K == "value")
-                return P.parseUInt(C.second);
-              return P.skipValue();
-            }))
-          return false;
-        R.CacheCounters.push_back(std::move(C));
-        return true;
+      return R.readArray([&] {
+        std::pair<std::string, uint64_t> &C = Q.CacheCounters.emplace_back();
+        return R.readObject([&](const std::string &K) {
+          if (K == "name")
+            return R.readString(C.first);
+          if (K == "value")
+            return R.readUInt(C.second);
+          return R.skipValue();
+        });
       });
     if (Key == "histograms")
-      return P.parseArray([&] {
-        HistogramEntry H;
-        if (!P.parseObject([&](const std::string &K) -> bool {
-              if (K == "name")
-                return P.parseString(H.Name);
-              if (K == "p50")
-                return P.parseUInt(H.P50);
-              if (K == "p95")
-                return P.parseUInt(H.P95);
-              if (K == "p99")
-                return P.parseUInt(H.P99);
-              if (K == "data")
-                return ParseHistData(H.Snap);
-              return P.skipValue();
-            }))
-          return false;
-        R.Histograms.push_back(std::move(H));
-        return true;
+      return R.readArray([&] {
+        HistogramEntry &H = Q.Histograms.emplace_back();
+        return R.readObject([&](const std::string &K) {
+          if (K == "name")
+            return R.readString(H.Name);
+          if (K == "p50")
+            return R.readUInt(H.P50);
+          if (K == "p95")
+            return R.readUInt(H.P95);
+          if (K == "p99")
+            return R.readUInt(H.P99);
+          if (K == "data")
+            return readHistogram(R, H.Snap);
+          return R.skipValue();
+        });
       });
-    return P.skipValue();
-  });
-  if (!Ok)
+    return R.skipValue();
+  };
+  if (!readLine(Line, Err, kServiceStatusReplySchema, OnKey))
     return false;
-  if (!P.atEnd())
-    return P.fail("trailing bytes after status reply");
-  if (Schema != kServiceStatusReplySchema)
-    return P.fail("not an mc.service-status-reply.v1 line");
-  *this = std::move(R);
+  *this = std::move(Q);
   return true;
 }

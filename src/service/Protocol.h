@@ -13,15 +13,16 @@
 /// response itself stays single-line). See docs/SERVICE.md for the schema
 /// and the status taxonomy.
 ///
-/// Both sides parse with the same strict-subset recursive-descent style the
-/// manifest reader uses: objects, arrays, strings, unsigned integers and
-/// booleans; unknown keys skip, so the schema can grow additively.
+/// Both sides read with support/Json.h's JsonReader, the manifest's reader
+/// too: objects, arrays, strings, unsigned integers and booleans; unknown
+/// keys skip, so the schema can grow additively.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MC_SERVICE_PROTOCOL_H
 #define MC_SERVICE_PROTOCOL_H
 
+#include "driver/Pipeline.h"
 #include "support/Histogram.h"
 
 #include <cstdint>
@@ -68,61 +69,18 @@ const char *serviceStatusName(ServiceStatus S);
 /// Parses a status spelling; false on an unknown value.
 bool parseServiceStatus(std::string_view Spelling, ServiceStatus &Out);
 
-/// One analysis request. Field-for-field this mirrors the standalone CLI
-/// surface it replays (checker selection, -I/-D, --rank/--format/--explain,
-/// the engine toggles), plus the service-only knobs: a request-level
-/// deadline, and the fault-injection block tests use to exercise every
-/// degradation path deterministically.
-struct ServiceRequest {
+/// One analysis request: the RunRequest that `xgcc` would run locally, plus
+/// the service-only fields — a correlation id, a request-level deadline,
+/// and the fault-injection block tests use to exercise every degradation
+/// path deterministically. The daemon hands the RunRequest half to the same
+/// runRequest() pipeline the CLI calls.
+struct ServiceRequest : RunRequest {
   /// Client-chosen correlation id, echoed verbatim in the response.
   std::string Id;
-  /// Source files to analyze, resolved against the *server's* cwd. The
-  /// request fingerprint hashes the paths, not the content — content change
-  /// detection is the cache's job.
-  std::vector<std::string> Files;
-  /// Builtin checker names; empty (with no metal) = the full builtin suite,
-  /// exactly like the CLI default.
-  std::vector<std::string> Checkers;
-  /// Inline metal checkers: (name, source text). Inline rather than by path
-  /// so the checker fingerprint is self-contained in the request.
-  std::vector<std::pair<std::string, std::string>> Metal;
-  /// -I include directories, in order.
-  std::vector<std::string> IncludeDirs;
-  /// -D macro definitions: (name, value); value "1" for bare -DNAME.
-  std::vector<std::pair<std::string, std::string>> Defines;
-  /// Worker threads (0 = the server's default). Never changes a report byte.
-  unsigned Jobs = 0;
   /// Request-level wall-clock deadline in ms, covering queue wait + run
   /// (0 = the server's default). Enforced cooperatively: the remaining
   /// budget clamps the per-root deadline when the request starts.
   uint64_t DeadlineMs = 0;
-  std::string Rank = "generic";  ///< generic | statistical | combined.
-  std::string Format = "text";   ///< text | json.
-  unsigned ExplainTopN = 0;      ///< --explain[=N]; 0 = off.
-  bool KeepGoing = false;        ///< --keep-going.
-  /// --baseline DIR: report-lifecycle baseline directory, resolved against
-  /// the *server's* cwd ("" = no baseline). The server keeps one resident
-  /// store per directory; classification still happens per request.
-  std::string Baseline;
-  bool SuppressKnown = false;    ///< --suppress-known.
-
-  /// The engine-option subset a request may override (the rest keep their
-  /// EngineOptions defaults, same as the CLI).
-  struct EngineKnobs {
-    bool BlockCache = true;
-    bool FunctionSummaries = true;
-    bool FalsePathPruning = true;
-    bool DispatchIndex = true;
-    bool StateInterning = true;
-    bool Interprocedural = true;
-    uint64_t RootDeadlineMs = 0;
-    uint64_t RootPathBudget = 0;
-    uint64_t MaxActiveStates = 0; ///< 0 = keep the engine default.
-    std::string FailOn = "never"; ///< never | error | degraded.
-
-    friend bool operator==(const EngineKnobs &, const EngineKnobs &) = default;
-  };
-  EngineKnobs Options;
 
   /// Service-level FaultInjector knobs. Ignored (with a log line) unless the
   /// server runs with --allow-inject.
@@ -147,7 +105,8 @@ struct ServiceRequest {
   /// Identity of the *work*, independent of the correlation id: the FNV-1a
   /// hash of the canonical serialization with Id cleared. The crash journal
   /// keys on this, so a resent request is recognized after a restart even
-  /// though the client picked a fresh id.
+  /// though the client picked a fresh id. It hashes the file paths, not
+  /// their content — content change detection is the cache's job.
   uint64_t fingerprint() const;
 
   friend bool operator==(const ServiceRequest &,
@@ -172,7 +131,8 @@ struct ServiceResponse {
   std::string Manifest;
   /// Human-readable reason for overloaded/retriable/error.
   std::string Error;
-  /// The exit code a standalone run would have returned (--fail-on policy).
+  /// The exit code a standalone run of the same request returns
+  /// (RunResult::ExitCode), errors included.
   unsigned ExitCode = 0;
   uint64_t QueueMs = 0; ///< Admission-to-execution wait.
   uint64_t RunMs = 0;   ///< Execution wall clock.

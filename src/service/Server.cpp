@@ -9,7 +9,6 @@
 #include "checkers/FaultInjector.h"
 #include "driver/Tool.h"
 #include "lifecycle/BaselineStore.h"
-#include "report/Witness.h"
 #include "support/EventLog.h"
 #include "support/Histogram.h"
 #include "support/RawOstream.h"
@@ -115,11 +114,6 @@ std::set<uint64_t> RequestJournal::recoverSuspects() const {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-bool endsWith(const std::string &S, const char *Suffix) {
-  size_t N = std::strlen(Suffix);
-  return S.size() >= N && S.compare(S.size() - N, N, Suffix) == 0;
-}
 
 /// Plain-stdio whole-file write, like the journal: the FaultInjector's fs
 /// knobs aim at the store's write path and must not eat flight-recorder
@@ -855,184 +849,35 @@ void ServiceServer::Impl::execute(const ServiceRequest &Req,
                                   std::vector<std::string> &Faulted,
                                   std::vector<std::string> &Probed,
                                   TraceCollector *TC) {
-  auto Fail = [&](std::string Why) {
-    Resp.Status = ServiceStatus::Error;
-    Resp.Error = std::move(Why);
-    Resp.ExitCode = 2; // What the standalone CLI returns for a usage error.
-  };
-  if (Req.Files.empty())
-    return Fail("no input files");
+  // The daemon's policy reaches the shared pipeline as data: its default
+  // jobs, what the request deadline left after queueing, the quarantine
+  // skip set, the injected checker and the resident baseline stores.
+  RunHost Host;
+  Host.WantManifest = true;
+  Host.DefaultJobs = Cfg.DefaultJobs;
+  Host.DeadlineClampMs = RemainingMs;
+  for (const std::string &Name : Quarantine.blockedCheckers())
+    Host.SkipCheckers[Name] = "xgccd: checker '" + Name +
+                              "' is quarantined; re-probe in " +
+                              std::to_string(Quarantine.remaining(Name)) +
+                              " request(s)\n";
+  if (Cfg.AllowInject && Req.InjectKnobs.PoisonChecker)
+    Host.ExtraCheckers.push_back(std::make_unique<FaultInjectorChecker>(
+        FaultInjectorChecker::Mode::Fault));
+  Host.Baselines = &Baselines;
 
-  RankPolicy Policy;
-  if (Req.Rank == "generic")
-    Policy = RankPolicy::Generic;
-  else if (Req.Rank == "statistical")
-    Policy = RankPolicy::Statistical;
-  else if (Req.Rank == "combined")
-    Policy = RankPolicy::Combined;
-  else
-    return Fail("unknown rank mode '" + Req.Rank + "'");
-  bool Json;
-  if (Req.Format == "text")
-    Json = false;
-  else if (Req.Format == "json")
-    Json = true;
-  else
-    return Fail("unknown format '" + Req.Format + "'");
-
-  EngineOptions Opts;
-  Opts.Jobs = Req.Jobs ? Req.Jobs : Cfg.DefaultJobs;
-  Opts.EnableBlockCache = Req.Options.BlockCache;
-  if (!Req.Options.BlockCache)
-    Opts.MaxPathsPerFunction = 1u << 16; // The CLI's --no-cache companion.
-  Opts.EnableFunctionSummaries = Req.Options.FunctionSummaries;
-  Opts.EnableFalsePathPruning = Req.Options.FalsePathPruning;
-  Opts.EnableDispatchIndex = Req.Options.DispatchIndex;
-  Opts.EnableStateInterning = Req.Options.StateInterning;
-  Opts.Interprocedural = Req.Options.Interprocedural;
-  Opts.RootPathBudget = Req.Options.RootPathBudget;
-  if (Req.Options.MaxActiveStates)
-    Opts.MaxActiveStates = Req.Options.MaxActiveStates;
-  Opts.Reporting.RootDeadlineMs = Req.Options.RootDeadlineMs;
-  if (!parseFailPolicy(Req.Options.FailOn, Opts.Reporting.FailOn))
-    return Fail("unknown fail-on mode '" + Req.Options.FailOn + "'");
-  if (Req.ExplainTopN) {
-    Opts.Reporting.ExplainTopN = Req.ExplainTopN;
-    Opts.Reporting.CaptureWitness = true;
-  }
-  // Whatever deadline budget the queue left clamps the per-root deadline;
-  // from here the engine's degradation ladder enforces it root by root.
-  if (RemainingMs &&
-      (!Opts.Reporting.RootDeadlineMs ||
-       Opts.Reporting.RootDeadlineMs > RemainingMs))
-    Opts.Reporting.RootDeadlineMs = RemainingMs;
-
-  std::string LogBuf;
-  raw_string_ostream LogOS(LogBuf);
+  raw_string_ostream LogOS(Resp.Log);
   XgccTool Tool(&LogOS);
   Tool.setSharedCache(Cache.get());
   Tool.setWorkerPool(Pool.get());
   Tool.setTrace(TC);
-  Tool.setKeepGoing(Req.KeepGoing);
-  for (const std::string &Dir : Req.IncludeDirs)
-    Tool.preprocessor().addIncludeDir(Dir);
-  for (const auto &[Name, Value] : Req.Defines)
-    Tool.preprocessor().define(Name, Value);
-
-  // Checker selection mirrors the CLI: default full builtin suite,
-  // path_kill stable-sorted first. The service adds one filter on top —
-  // checkers in cross-request quarantine are excluded, with a synthetic
-  // incident in the manifest so the exclusion is visible evidence.
-  std::vector<std::string> Excluded;
-  auto Blocked = [&](const std::string &Name) {
-    if (!Quarantine.blocked(Name))
-      return false;
-    Excluded.push_back(Name);
-    LogOS << "xgccd: checker '" << Name << "' is quarantined; re-probe in "
-          << Quarantine.remaining(Name) << " request(s)\n";
-    return true;
-  };
-  auto NoteProbe = [&](const std::string &Name) {
-    if (Quarantine.onProbation(Name))
-      Probed.push_back(Name);
-  };
-
-  std::vector<std::string> CheckerNames = Req.Checkers;
-  if (CheckerNames.empty() && Req.Metal.empty())
-    CheckerNames = builtinCheckerNames();
-  std::stable_sort(CheckerNames.begin(), CheckerNames.end(),
-                   [](const std::string &A, const std::string &B) {
-                     return (A == "path_kill") > (B == "path_kill");
-                   });
-  for (const std::string &Name : CheckerNames) {
-    if (Blocked(Name))
-      continue;
-    if (!Tool.addBuiltinChecker(Name))
-      return Fail("unknown builtin checker '" + Name + "'");
-    NoteProbe(Name);
-  }
-  for (const auto &[Name, Source] : Req.Metal) {
-    if (Blocked(Name))
-      continue;
-    if (!Tool.addMetalChecker(Source, Name))
-      return Fail("errors in metal checker '" + Name + "'");
-    NoteProbe(Name);
-  }
-  if (Cfg.AllowInject && Req.InjectKnobs.PoisonChecker) {
-    std::string Name = "fault_injector";
-    if (!Blocked(Name)) {
-      Tool.addChecker(
-          std::make_unique<FaultInjectorChecker>(FaultInjectorChecker::Mode::Fault));
-      NoteProbe(Name);
-    }
-  }
-
-  // Pass 1, batched exactly like the CLI (.mast images load serially at
-  // their command-line position).
-  bool ParseOk = true;
-  std::vector<std::string> Batch;
-  auto FlushBatch = [&] {
-    if (Batch.empty())
-      return;
-    ParseOk &= Tool.addSourceFiles(Batch, Opts.Jobs);
-    Batch.clear();
-  };
-  for (const std::string &Path : Req.Files) {
-    if (endsWith(Path, ".mast")) {
-      FlushBatch();
-      ParseOk &= Tool.addMastFile(Path);
-    } else {
-      Batch.push_back(Path);
-    }
-  }
-  FlushBatch();
-  if (!ParseOk)
-    LogOS << "xgcc: continuing despite parse errors\n";
-
-  Tool.run(Opts);
-
-  // Report-lifecycle classification against the resident baseline store for
-  // the requested directory (opened on first use, kept warm after), exactly
-  // where the standalone driver does it: before any output is rendered, so
-  // the tags and suppressions land in the same bytes.
-  BaselineDelta Delta;
-  const bool BaselineOn = !Req.Baseline.empty();
-  bool BaselineWriteFailed = false;
-  if (BaselineOn) {
-    std::unique_ptr<BaselineStore> &Store = Baselines[Req.Baseline];
-    if (!Store) {
-      Store = std::make_unique<BaselineStore>();
-      std::string Err;
-      if (!Store->open(Req.Baseline, &Err)) {
-        Baselines.erase(Req.Baseline);
-        return Fail("cannot open baseline store '" + Req.Baseline +
-                    "': " + Err);
-      }
-    }
-    Delta = Store->recordRun(Tool.reports(), Req.SuppressKnown);
-    std::string Err;
-    if (!Store->save(&Err)) {
-      LogOS << "xgcc: cannot write baseline store '" << Req.Baseline
-            << "': " << Err << '\n';
-      BaselineWriteFailed = true;
-    }
-  }
-
-  // Output assembly: the exact byte sequence a standalone run prints.
-  std::string OutBuf;
-  raw_string_ostream OutOS(OutBuf);
-  if (Json) {
-    Tool.reports().printJson(OutOS, Policy);
-  } else {
-    Tool.reports().print(OutOS, Policy);
-    OutOS << Tool.reports().size() << " report(s)\n";
-    if (BaselineOn)
-      OutOS << "baseline: " << Delta.NewCount << " new, " << Delta.KnownCount
-            << " known, " << Delta.FixedCount << " fixed, "
-            << Delta.SuppressedCount << " suppressed\n";
-    if (Opts.Reporting.ExplainTopN)
-      renderExplainText(OutOS, Tool.reports(), Tool.sourceManager(), Policy,
-                        Opts.Reporting.ExplainTopN);
+  raw_string_ostream OutOS(Resp.Output);
+  RunResult Run = runRequest(Tool, Req, Host, OutOS);
+  Resp.ExitCode = Run.ExitCode;
+  if (!Run.Error.empty()) {
+    Resp.Status = ServiceStatus::Error;
+    Resp.Error = std::move(Run.Error);
+    return;
   }
 
   // Fold this request's metrics into the daemon's cumulative totals (the
@@ -1044,22 +889,17 @@ void ServiceServer::Impl::execute(const ServiceRequest &Req,
     PubTotals.merge(ReqMetrics);
   }
 
-  RunManifest Man = Tool.manifest(Opts, ParseOk);
-  if (BaselineOn) {
-    Man.Baseline.Enabled = true;
-    Man.Baseline.RunOrdinal = Delta.RunOrdinal;
-    Man.Baseline.NewCount = Delta.NewCount;
-    Man.Baseline.KnownCount = Delta.KnownCount;
-    Man.Baseline.FixedCount = Delta.FixedCount;
-    Man.Baseline.SuppressedCount = Delta.SuppressedCount;
-  }
+  for (const std::string &Name : Run.Checkers)
+    if (Quarantine.onProbation(Name))
+      Probed.push_back(Name);
+  RunManifest &Man = *Run.Manifest;
   // Collect this run's checker faults *before* appending the synthetic
   // exclusion incidents (those carry Fault too, but describe old news).
   for (const RootIncident &Inc : Man.Incidents)
     if (Inc.Fault &&
         std::find(Faulted.begin(), Faulted.end(), Inc.Checker) == Faulted.end())
       Faulted.push_back(Inc.Checker);
-  for (const std::string &Name : Excluded) {
+  for (const std::string &Name : Run.Skipped) {
     RootIncident Inc;
     Inc.Root = "<service>";
     Inc.Checker = Name;
@@ -1070,31 +910,11 @@ void ServiceServer::Impl::execute(const ServiceRequest &Req,
                  " clean request(s)";
     Man.Incidents.push_back(std::move(Inc));
   }
-
-  Resp.Output = std::move(OutBuf);
-  {
-    raw_string_ostream MOS(Resp.Manifest);
-    Man.writeJson(MOS);
-  }
-  Resp.Log = std::move(LogBuf);
-  Resp.Status = (!ParseOk || !Man.Incidents.empty())
+  raw_string_ostream MOS(Resp.Manifest);
+  Man.writeJson(MOS);
+  Resp.Status = (!Run.ParseOk || !Man.Incidents.empty())
                     ? ServiceStatus::Incomplete
                     : ServiceStatus::Ok;
-
-  // The exit code a standalone run would have returned under its --fail-on
-  // policy, so `xgcc --server` can just exit with it.
-  Resp.ExitCode = 0;
-  if (Opts.Reporting.FailOn != FailPolicy::Never) {
-    if (Tool.reports().anyQuarantined() || !ParseOk)
-      Resp.ExitCode = 1;
-    else if (Opts.Reporting.FailOn == FailPolicy::Degraded &&
-             Tool.reports().anyDegraded())
-      Resp.ExitCode = 1;
-  }
-  // A run whose classification could not be persisted must not look like it
-  // was (mirrors the standalone --baseline write-failure policy).
-  if (BaselineWriteFailed)
-    Resp.ExitCode = 1;
 }
 
 //===----------------------------------------------------------------------===//

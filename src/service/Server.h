@@ -9,7 +9,9 @@
 /// keeps the expensive state resident — the AnalysisCache (AST + summary
 /// stores), a shared ThreadPool — and replays `xgcc` runs against it on
 /// demand, one `mc.service-request.v1` line in, one `mc.service-response.v1`
-/// line out, over a Unix-domain stream socket.
+/// line out, over a Unix-domain stream socket. Each request runs through
+/// the CLI's own pipeline (runRequest, driver/Pipeline.h); the daemon only
+/// adds its policy around it, as data.
 ///
 /// The robustness contract (docs/SERVICE.md):
 ///  - Bounded admission: at most MaxQueue requests queued; the next one gets

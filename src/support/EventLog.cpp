@@ -6,6 +6,9 @@
 
 #include "support/EventLog.h"
 
+#include "support/Json.h"
+#include "support/RawOstream.h"
+
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -14,41 +17,6 @@
 using namespace mc;
 
 static constexpr uint64_t kDefaultMaxBytes = 4ull << 20;
-
-/// Minimal JSON string escape (the writeJsonString subset support/ can own):
-/// quotes, backslashes, and control bytes as \u00XX.
-static void appendJsonString(std::string &Out, std::string_view S) {
-  Out += '"';
-  for (char C : S) {
-    unsigned char U = (unsigned char)C;
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (U < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", U);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
 
 EventLog::~EventLog() { close(); }
 
@@ -77,22 +45,23 @@ uint64_t EventLog::emit(const ServiceEvent &E) {
     return 0;
   uint64_t Seq = NextSeq++;
 
-  std::string Line = "{\"schema\": \"";
-  Line += kServiceEventSchema;
-  Line += "\", \"seq\": ";
-  Line += std::to_string(Seq);
-  Line += ", \"event\": ";
-  appendJsonString(Line, E.Type);
-  for (const ServiceEvent::Field &F : E.Fields) {
-    Line += ", ";
-    appendJsonString(Line, F.Key);
-    Line += ": ";
-    if (F.Quoted)
-      appendJsonString(Line, F.Value);
-    else
-      Line += F.Value;
+  std::string Line;
+  {
+    raw_string_ostream OS(Line);
+    OS << "{\"schema\": \"" << kServiceEventSchema << "\", \"seq\": " << Seq
+       << ", \"event\": ";
+    writeJsonString(OS, E.Type);
+    for (const ServiceEvent::Field &F : E.Fields) {
+      OS << ", ";
+      writeJsonString(OS, F.Key);
+      OS << ": ";
+      if (F.Quoted)
+        writeJsonString(OS, F.Value);
+      else
+        OS << F.Value;
+    }
+    OS << "}\n";
   }
-  Line += "}\n";
 
   // Size-capped rotation: at most <path> + <path>.1 on disk. The rename
   // happens *before* the write so one oversized event still lands whole.

@@ -7,9 +7,34 @@
 #include "support/OptionParser.h"
 
 #include <cctype>
+#include <climits>
 #include <cstring>
 
 namespace mc {
+
+bool parseCount(const char *V, uint64_t &Out) {
+  if (!V || !*V)
+    return false;
+  uint64_t N = 0;
+  for (const char *C = V; *C; ++C) {
+    if (*C < '0' || *C > '9')
+      return false;
+    unsigned D = unsigned(*C - '0');
+    if (N > (UINT64_MAX - D) / 10)
+      return false;
+    N = N * 10 + D;
+  }
+  Out = N;
+  return true;
+}
+
+bool parseCount(const char *V, unsigned &Out) {
+  uint64_t N;
+  if (!parseCount(V, N) || N > UINT_MAX)
+    return false;
+  Out = unsigned(N);
+  return true;
+}
 
 const char *OptionParser::take() {
   if (I + 1 >= Argc)

@@ -16,9 +16,16 @@
 #ifndef MC_SUPPORT_OPTIONPARSER_H
 #define MC_SUPPORT_OPTIONPARSER_H
 
+#include <cstdint>
 #include <string>
 
 namespace mc {
+
+/// The one parser for count-valued flags (--jobs, --deadline-ms, ...): at
+/// least one decimal digit and nothing else. "12x", "-1", "" and a value
+/// that does not fit \p Out are rejected, never truncated or wrapped.
+bool parseCount(const char *V, uint64_t &Out);
+bool parseCount(const char *V, unsigned &Out);
 
 /// A cursor over argv. Typical loop:
 ///

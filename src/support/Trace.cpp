@@ -6,6 +6,7 @@
 
 #include "support/Trace.h"
 
+#include "support/Json.h"
 #include "support/RawOstream.h"
 
 #include <algorithm>
@@ -35,35 +36,6 @@ size_t TraceCollector::eventCount() const {
   for (const TraceBuffer &Buf : Buffers)
     N += Buf.Events.size();
   return N;
-}
-
-static void writeTraceString(raw_ostream &OS, std::string_view S) {
-  OS << '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    case '\r':
-      OS << "\\r";
-      break;
-    default:
-      if ((unsigned char)C < 0x20)
-        OS.printf("\\u%04x", C);
-      else
-        OS << C;
-    }
-  }
-  OS << '"';
 }
 
 void TraceCollector::exportChromeJson(raw_ostream &OS,
@@ -97,7 +69,7 @@ void TraceCollector::exportChromeJson(raw_ostream &OS,
         OS << ",";
       First = false;
       OS << "\n{\"name\":";
-      writeTraceString(OS, Ev.Name);
+      writeJsonString(OS, Ev.Name);
       // Complete ("X") events; ts/dur in microseconds per the trace-event
       // format. %.3f keeps nanosecond precision.
       uint64_t Ts = IncludeTimes ? Ev.StartNs - BaseNs : 0;
@@ -113,9 +85,9 @@ void TraceCollector::exportChromeJson(raw_ostream &OS,
           if (!FirstArg)
             OS << ",";
           FirstArg = false;
-          writeTraceString(OS, K);
+          writeJsonString(OS, K);
           OS << ":";
-          writeTraceString(OS, V);
+          writeJsonString(OS, V);
         }
         OS << "}";
       }

@@ -291,6 +291,43 @@ TEST(Cli, BadFailOnValueRejected) {
   remove(Src.c_str());
 }
 
+TEST(Cli, BadRankAndFormatValuesRejected) {
+  std::string Src = writeTemp("cli_rank.c", BuggySource);
+  RunResult Rank = runXgcc("--checker free --rank bogus " + Src);
+  EXPECT_EQ(Rank.ExitCode, 2);
+  EXPECT_NE(Rank.Output.find("xgcc: unknown rank mode 'bogus'"),
+            std::string::npos)
+      << Rank.Output;
+  RunResult Format = runXgcc("--checker free --format=xml " + Src);
+  EXPECT_EQ(Format.ExitCode, 2);
+  EXPECT_NE(Format.Output.find("xgcc: unknown format 'xml'"),
+            std::string::npos)
+      << Format.Output;
+  remove(Src.c_str());
+}
+
+TEST(Cli, BadCountValuesRejected) {
+  std::string Src = writeTemp("cli_counts.c", BuggySource);
+  // Each is rejected on the flag: nothing is truncated, wrapped or read as
+  // "auto" — a wrapped --jobs would ask for billions of pass-1 threads.
+  for (const char *Jobs : {"abc", "-1", "99999999999", "4294967297"}) {
+    RunResult R = runXgcc("--checker free --jobs " + std::string(Jobs) + " " +
+                          Src);
+    EXPECT_EQ(R.ExitCode, 2) << Jobs;
+    EXPECT_NE(R.Output.find("--jobs expects"), std::string::npos) << R.Output;
+  }
+  for (const char *Flag : {"--deadline-ms=12x", "--cache-max-mb=-5",
+                           "--profile=lots",
+                           "--deadline-ms=99999999999999999999"}) {
+    RunResult R = runXgcc("--checker free " + std::string(Flag) + " " + Src);
+    EXPECT_EQ(R.ExitCode, 2) << Flag;
+    EXPECT_NE(R.Output.find("expects"), std::string::npos) << R.Output;
+  }
+  RunResult Ok = runXgcc("--checker free --jobs 2 --deadline-ms=0 " + Src);
+  EXPECT_EQ(Ok.ExitCode, 0) << Ok.Output;
+  remove(Src.c_str());
+}
+
 TEST(Cli, ExplainRendersWitness) {
   std::string Src = writeTemp("cli_explain.c", BuggySource);
   // Bare --explain defaults to the top 3 reports.
@@ -342,6 +379,19 @@ TEST(Cli, FailedStatsJsonWriteExitsNonzero) {
                         Src);
   EXPECT_NE(R.ExitCode, 0);
   EXPECT_NE(R.Output.find("cannot write"), std::string::npos);
+  remove(Src.c_str());
+}
+
+TEST(Cli, FailedUpdateHistoryWriteExitsNonzero) {
+  std::string Src = writeTemp("cli_badhist.c", BuggySource);
+  RunResult R = runXgcc(
+      "--checker free --update-history /nonexistent-dir/h.txt " + Src);
+  EXPECT_EQ(R.ExitCode, 1);
+  EXPECT_NE(R.Output.find("cannot write '/nonexistent-dir/h.txt'"),
+            std::string::npos)
+      << R.Output;
+  // The reports still print: only the artifact was lost.
+  EXPECT_NE(R.Output.find("1 report(s)"), std::string::npos);
   remove(Src.c_str());
 }
 
@@ -429,6 +479,22 @@ TEST(Cli, XgccdFlightrecMaxFlagBothSpellings) {
                      "--flightrec-max expects a positive count");
   expectFlagRejected("--flightrec-max nope",
                      "--flightrec-max expects a positive count");
+  // Too big for the field: rejected, not wrapped to 1.
+  expectFlagRejected("--flightrec-max 4294967297",
+                     "--flightrec-max expects a positive count");
+}
+
+TEST(Cli, XgccdCountFlagsRejectGarbage) {
+  expectFlagAccepted("--jobs 4", "--jobs expects");
+  expectFlagAccepted("--max-queue=32", "--max-queue expects");
+  expectFlagRejected("--jobs abc", "--jobs expects a non-negative count");
+  expectFlagRejected("--jobs=99999999999",
+                     "--jobs expects a non-negative count");
+  expectFlagRejected("--max-queue -1", "--max-queue expects a positive count");
+  expectFlagRejected("--default-deadline-ms 5s",
+                     "--default-deadline-ms expects a non-negative count");
+  expectFlagRejected("--cache-max-mb=",
+                     "--cache-max-mb expects a size in MiB");
 }
 
 TEST(Cli, XgccdLogMaxBytesFlagBothSpellings) {

@@ -271,6 +271,21 @@ TEST(RunManifest, ParserRejectsGarbageAndSkipsUnknownKeys) {
   RunManifest Back;
   EXPECT_TRUE(parseRunManifest(Extended, Back, &Err)) << Err;
   EXPECT_TRUE(Back == M);
+  // A number above UINT64_MAX, or above what its field holds, is rejected
+  // at its offset rather than wrapped.
+  for (const auto &[From, To] :
+       {std::pair<std::string, std::string>{"\"report_count\": 0",
+                                            "\"report_count\": "
+                                            "18446744073709551616"},
+        {"\"jobs\": 1", "\"jobs\": 4294967297"}}) {
+    std::string Bad = Json;
+    size_t At = Bad.find(From);
+    ASSERT_NE(At, std::string::npos) << From;
+    Bad.replace(At, From.size(), To);
+    EXPECT_FALSE(parseRunManifest(Bad, Out, &Err)) << To;
+    EXPECT_EQ(Err, "number out of range at offset " +
+                       std::to_string(At + To.find(": ") + 2));
+  }
 }
 
 TEST(RunManifest, ToolManifestReflectsTheRun) {

@@ -25,6 +25,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -128,6 +129,49 @@ TEST(ServiceProtocol, MalformedAndWrongSchemaRejected) {
   // A response line is not a request line.
   ServiceResponse Resp;
   EXPECT_FALSE(R.parse(Resp.serializeToString(), &Err));
+  // A number above UINT64_MAX, or one too big for its field, is rejected at
+  // its offset instead of wrapping (both used to become "jobs": 1).
+  for (const char *Jobs : {"18446744073709551617", "4294967297"}) {
+    std::string Line = std::string("{\"schema\": \"mc.service-request.v1\", "
+                                   "\"jobs\": ") +
+                       Jobs + "}";
+    EXPECT_FALSE(R.parse(Line, &Err)) << Jobs;
+    EXPECT_NE(Err.find("number out of range at offset 44"), std::string::npos)
+        << Err;
+  }
+}
+
+TEST(ServiceProtocol, RequestWireBytesArePinned) {
+  // One fixed request, serialized byte for byte as the protocol has always
+  // written it: the field order and spelling are the wire contract, and
+  // the crash journal's fingerprint hashes exactly these bytes.
+  ServiceRequest R = sampleRequest();
+  R.Baseline = "base\tdir";
+  R.SuppressKnown = true;
+  R.Options.Interprocedural = false;
+  const char *Pinned =
+      "{\"schema\": \"mc.service-request.v1\", \"id\": \"req-1\", "
+      "\"files\": [\"a.c\", \"dir/b.c\"], \"checkers\": [\"free\", \"lock\"], "
+      "\"metal\": [{\"name\": \"no_gets.metal\", \"source\": \"sm "
+      "no_gets;\\nstart: { x } ==> start;\\n\"}], \"include_dirs\": "
+      "[\"/usr/include\", \"inc\"], \"defines\": [{\"name\": \"DEBUG\", "
+      "\"value\": \"1\"}, {\"name\": \"NAME\", \"value\": "
+      "\"\\\"quoted\\nvalue\\\"\"}], \"jobs\": 4, \"deadline_ms\": 1500, "
+      "\"rank\": \"combined\", \"format\": \"json\", \"explain_top_n\": 3, "
+      "\"keep_going\": true, \"baseline\": \"base\\tdir\", "
+      "\"suppress_known\": true, \"options\": {\"block_cache\": false, "
+      "\"function_summaries\": true, \"false_path_pruning\": true, "
+      "\"dispatch_index\": true, \"state_interning\": true, "
+      "\"interprocedural\": false, \"root_deadline_ms\": 250, "
+      "\"root_path_budget\": 1000, \"max_active_states\": 77, "
+      "\"fail_on\": \"degraded\"}, \"inject\": {\"slow_ms\": 10, \"die\": "
+      "false, \"poison_checker\": true}}";
+  EXPECT_EQ(R.serializeToString(), Pinned);
+  EXPECT_EQ(R.fingerprint(), 0xf201dce1e5e71b70ULL);
+  ServiceRequest Parsed;
+  std::string Err;
+  ASSERT_TRUE(Parsed.parse(Pinned, &Err)) << Err;
+  EXPECT_EQ(Parsed, R);
 }
 
 TEST(ServiceProtocol, UnknownKeysSkipForForwardCompat) {
@@ -449,16 +493,106 @@ TEST_F(ServiceTest, JsonFormatAndExplainMatchStandalone) {
   EXPECT_EQ(D.stop(), 0);
 }
 
+/// \p Err without UBSan's "runtime error" lines. A sanitizer build reports
+/// from whichever process runs the code, so a served run's reports land in
+/// the daemon's log while a standalone run's land in its own stderr.
+std::string withoutSanitizerReports(const std::string &Err) {
+  std::string Out;
+  size_t Start = 0;
+  while (Start < Err.size()) {
+    size_t End = Err.find('\n', Start);
+    End = End == std::string::npos ? Err.size() : End + 1;
+    std::string_view Line(Err.data() + Start, End - Start);
+    if (Line.find(": runtime error: ") == std::string_view::npos)
+      Out.append(Line);
+    Start = End;
+  }
+  return Out;
+}
+
+/// One xgcc invocation with stdout, stderr and the exit code kept apart.
+struct CliRun {
+  std::string Out;
+  std::string Err;
+  int Code = -1;
+};
+
+CliRun runXgcc(const std::string &Args, const fs::path &Dir) {
+  std::string ErrPath = (Dir / "xgcc.stderr").string();
+  std::string Cmd = std::string(MC_XGCC_BINARY) + " " + Args + " 2>" + ErrPath;
+  CliRun R;
+  std::FILE *Pipe = popen(Cmd.c_str(), "r");
+  if (!Pipe)
+    return R;
+  char Buf[4096];
+  size_t N;
+  while ((N = fread(Buf, 1, sizeof(Buf), Pipe)) > 0)
+    R.Out.append(Buf, N);
+  int Status = pclose(Pipe);
+  R.Code = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+  if (std::FILE *F = std::fopen(ErrPath.c_str(), "r")) {
+    while ((N = fread(Buf, 1, sizeof(Buf), F)) > 0)
+      R.Err.append(Buf, N);
+    std::fclose(F);
+  }
+  R.Err = withoutSanitizerReports(R.Err);
+  return R;
+}
+
+std::string replaceAll(std::string S, const std::string &From,
+                       const std::string &To) {
+  for (size_t At = S.find(From); At != std::string::npos;
+       At = S.find(From, At + To.size()))
+    S.replace(At, From.size(), To);
+  return S;
+}
+
 TEST_F(ServiceTest, XgccServerFlagRoundTrips) {
   std::string Src = writeTemp(Dir, "buggy.c", BuggySource);
+  std::string Missing = (Dir / "missing.c").string();
   Daemon D;
   ASSERT_TRUE(D.start(Dir, "cli"));
 
-  std::string Served = runStandalone("--server " + D.Sock +
-                                     " --checker free --jobs 1 " + Src);
-  std::string Local = runStandalone("--checker free --jobs 1 " + Src);
-  EXPECT_EQ(Served, Local);
-  EXPECT_NE(Served.find("1 report(s)"), std::string::npos);
+  // Each invocation runs standalone and through --server. "@BL@" names a
+  // baseline store per mode, so both classify against the same history.
+  const std::vector<std::string> Cases = {
+      "--checker free --jobs 1 " + Src,
+      "--checker nosuch " + Src,
+      "--checker free --rank bogus " + Src,
+      "--checker free --fail-on error " + Src + " " + Missing,
+      "--checker free --baseline @BL@ " + Src,
+      "--checker free --baseline @BL@ --suppress-known " + Src,
+      "--checker free --format json --explain=2 " + Src,
+  };
+  std::vector<CliRun> Locals;
+  for (const std::string &Case : Cases) {
+    SCOPED_TRACE(Case);
+    CliRun Local =
+        runXgcc(replaceAll(Case, "@BL@", (Dir / "bl-local").string()), Dir);
+    CliRun Served = runXgcc("--server " + D.Sock + " " +
+                                replaceAll(Case, "@BL@",
+                                           (Dir / "bl-served").string()),
+                            Dir);
+    EXPECT_EQ(Served.Out, Local.Out);
+    EXPECT_EQ(Served.Code, Local.Code);
+    // A request the daemon refuses gains the documented "server: " prefix;
+    // every other byte of stderr is the standalone run's.
+    EXPECT_EQ(replaceAll(Served.Err, "xgcc: server: ", "xgcc: "), Local.Err);
+    Locals.push_back(std::move(Local));
+  }
+  // The table covers what it claims: a clean run, two refused requests, a
+  // partial run that --fail-on turns into exit 1, and the baseline pair.
+  EXPECT_NE(Locals[0].Out.find("1 report(s)"), std::string::npos);
+  EXPECT_EQ(Locals[1].Code, 2);
+  EXPECT_NE(Locals[1].Err.find("unknown builtin checker 'nosuch'"),
+            std::string::npos);
+  EXPECT_EQ(Locals[2].Code, 2);
+  EXPECT_EQ(Locals[3].Code, 1);
+  EXPECT_NE(Locals[3].Err.find("continuing despite parse errors"),
+            std::string::npos);
+  EXPECT_NE(Locals[4].Out.find("baseline: 1 new"), std::string::npos);
+  EXPECT_NE(Locals[5].Out.find("0 report(s)"), std::string::npos);
+  EXPECT_NE(Locals[6].Out.find("\"rank\": 1"), std::string::npos);
 
   EXPECT_EQ(D.stop(), 0);
 }
