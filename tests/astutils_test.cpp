@@ -48,6 +48,14 @@ struct EquivCase {
   bool Equal;
 };
 
+// Names each case by its text. Without this, gtest prints the struct as raw
+// bytes, pointers included, and the discovered test names change with every
+// build.
+void PrintTo(const EquivCase &C, std::ostream *OS) {
+  *OS << ::testing::PrintToString(C.A) << (C.Equal ? " == " : " != ")
+      << ::testing::PrintToString(C.B);
+}
+
 class ExprEquivTest : public ::testing::TestWithParam<EquivCase> {};
 
 TEST_P(ExprEquivTest, Equivalence) {
@@ -163,6 +171,11 @@ struct PrintCase {
   const char *In;
   const char *Out;
 };
+
+void PrintTo(const PrintCase &C, std::ostream *OS) {
+  *OS << ::testing::PrintToString(C.In) << " -> "
+      << ::testing::PrintToString(C.Out);
+}
 
 class PrinterTest : public ::testing::TestWithParam<PrintCase> {};
 

@@ -76,6 +76,13 @@ struct PunctCase {
   Tok Kind;
 };
 
+// Names each case by its spelling. Without this, gtest prints the struct as
+// raw bytes, pointer included, and the discovered test names change with
+// every build.
+void PrintTo(const PunctCase &C, std::ostream *OS) {
+  *OS << ::testing::PrintToString(C.Text);
+}
+
 class LexerPunctTest : public ::testing::TestWithParam<PunctCase> {};
 
 TEST_P(LexerPunctTest, LexesSingleToken) {
