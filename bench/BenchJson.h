@@ -30,11 +30,13 @@
 #include "support/Json.h"
 #include "support/RawOstream.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -156,6 +158,18 @@ public:
 private:
   std::chrono::steady_clock::time_point Start;
 };
+
+/// The median of \p Samples (the mean of the middle two for an even count;
+/// 0 when empty). A timing gate compares medians of repeated, interleaved
+/// samples, so one preemption cannot flip its verdict.
+inline double median(std::vector<double> Samples) {
+  if (Samples.empty())
+    return 0;
+  std::sort(Samples.begin(), Samples.end());
+  size_t Mid = Samples.size() / 2;
+  return Samples.size() % 2 ? Samples[Mid]
+                            : (Samples[Mid - 1] + Samples[Mid]) / 2;
+}
 
 /// Program points per second, guarding the zero-duration corner.
 inline double stmtsPerSec(uint64_t Points, double Seconds) {

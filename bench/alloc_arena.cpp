@@ -6,7 +6,8 @@
 //
 // Gate for the flat-state memory architecture. Two sections:
 //
-//  1. Representation microbench (the gate, >= 1.5x): replays the engine's
+//  1. Representation microbench (the gate, >= 1.5x on the medians of five
+//     interleaved repetitions): replays the engine's
 //     tuple-churn loop — fork-copy the SMInstance, materialize its tuple
 //     set, probe/insert the block cache, build the exit-dedup key — against
 //     the historical string-keyed layout (std::string TreeKey/Data, tuples
@@ -234,12 +235,21 @@ int main(int argc, char **argv) {
   const unsigned Rounds = Smoke ? 2000 : 20000;
 
   OS << "==== Arena + hash-consed state: representation microbench ====\n";
-  // Warm once (interner population, allocator slabs), then measure.
+  // Warm once (interner population, allocator slabs), then measure. Each
+  // side of the gate is the median of interleaved repetitions: one run
+  // lasts a few milliseconds, so a single sample is at a neighbour's mercy.
   runMicro(NumVars, Rounds / 4);
-  MicroResult Micro = runMicro(NumVars, Rounds);
-  OS.printf("%u vars x %u rounds: legacy %.2f ms, interned %.2f ms "
-            "(%.2fx)\n",
-            NumVars, Rounds, Micro.LegacyMs, Micro.InternedMs,
+  const unsigned Reps = 5;
+  std::vector<double> LegacyMs, InternedMs;
+  for (unsigned I = 0; I < Reps; ++I) {
+    MicroResult Rep = runMicro(NumVars, Rounds);
+    LegacyMs.push_back(Rep.LegacyMs);
+    InternedMs.push_back(Rep.InternedMs);
+  }
+  MicroResult Micro{median(LegacyMs), median(InternedMs)};
+  OS.printf("%u vars x %u rounds, median of %u: legacy %.2f ms, interned "
+            "%.2f ms (%.2fx)\n",
+            NumVars, Rounds, Reps, Micro.LegacyMs, Micro.InternedMs,
             Micro.speedup());
   bool Gate = Micro.speedup() >= 1.5;
   OS << (Gate ? "gate: interned layout >= 1.5x on tuple churn\n"

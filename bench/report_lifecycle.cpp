@@ -11,8 +11,8 @@
 //      spurious "new" classifications — the fingerprints are the identity,
 //      not the line numbers;
 //   2. classifying a run against the baseline store (open + recordRun +
-//      save) must cost < 5% of the analysis run it annotates (full mode;
-//      --smoke only shape-checks);
+//      save) must cost < 5% of the analysis run it annotates, each side the
+//      median of five repetitions (full mode; --smoke only shape-checks);
 //   3. `--baseline`-annotated output must be byte-identical at --jobs 1
 //      and 8.
 //
@@ -133,28 +133,46 @@ int main(int argc, char **argv) {
 
   OS << "==== report_lifecycle: fingerprints vs a 50-line shift ====\n";
 
-  // Run 1 seeds the store; run 2 re-analyzes the corpus with every report
-  // site shifted 50 lines down. A single spurious "new" fails the gate.
+  // Run 1 seeds the store; the shifted runs re-analyze the corpus with every
+  // report site shifted 50 lines down, each against its own copy of the
+  // seeded store. A single spurious "new" in any of them fails the gate.
   const std::string Baseline = (Dir / "baseline").string();
   WriteCorpus(/*Shift=*/false);
   RunResult Seed = runOnce(Paths, Baseline, /*Jobs=*/8);
   WriteCorpus(/*Shift=*/true);
-  RunResult Shifted = runOnce(Paths, Baseline, 8);
-  bool ShiftOk = Seed.Ok && Shifted.Ok && Seed.Delta.NewCount > 0 &&
-                 Shifted.Delta.NewCount == 0 && Shifted.Delta.FixedCount == 0 &&
-                 Shifted.Delta.KnownCount == Seed.Delta.NewCount;
+  // Classification takes well under a millisecond, so one preemption during
+  // a single sample could trip the 5% gate: each side of the ratio is the
+  // median of interleaved repetitions.
+  const unsigned Reps = 5;
+  const fs::path Copy = Dir / "baseline-copy";
+  std::vector<double> AnalysisMs, ClassifyMs;
+  RunResult Shifted;
+  bool ShiftOk = Seed.Ok && Seed.Delta.NewCount > 0;
+  for (unsigned I = 0; I < Reps; ++I) {
+    fs::remove_all(Copy, EC);
+    fs::copy(Baseline, Copy, fs::copy_options::recursive, EC);
+    Shifted = runOnce(Paths, Copy.string(), 8);
+    ShiftOk = ShiftOk && !EC && Shifted.Ok && Shifted.Delta.NewCount == 0 &&
+              Shifted.Delta.FixedCount == 0 &&
+              Shifted.Delta.KnownCount == Seed.Delta.NewCount;
+    AnalysisMs.push_back(Shifted.AnalysisMs);
+    ClassifyMs.push_back(Shifted.ClassifyMs);
+  }
   OS.printf("seed run: %u new   shifted run: %u new, %u known, %u fixed\n",
             Seed.Delta.NewCount, Shifted.Delta.NewCount,
             Shifted.Delta.KnownCount, Shifted.Delta.FixedCount);
   if (!ShiftOk)
     OS << "SHIFT GATE FAILED: expected 0 spurious new / 0 fixed\n";
 
-  // Classification overhead, measured on the (warm-process) second run.
-  double OverheadPct = Shifted.AnalysisMs > 0
-                           ? 100.0 * Shifted.ClassifyMs / Shifted.AnalysisMs
+  // Classification overhead, measured on the (warm-process) shifted runs.
+  double MedianAnalysisMs = median(AnalysisMs);
+  double MedianClassifyMs = median(ClassifyMs);
+  double OverheadPct = MedianAnalysisMs > 0
+                           ? 100.0 * MedianClassifyMs / MedianAnalysisMs
                            : 0;
-  OS.printf("analysis: %.1f ms   classification: %.2f ms (%.2f%%)\n",
-            Shifted.AnalysisMs, Shifted.ClassifyMs, OverheadPct);
+  OS.printf("analysis: %.1f ms   classification: %.2f ms (%.2f%%), median "
+            "of %u\n",
+            MedianAnalysisMs, MedianClassifyMs, OverheadPct, Reps);
   // --smoke corpora are too small for a ratio gate: constant per-run costs
   // (directory creation, file IO) dominate.
   bool OverheadOk = Smoke || OverheadPct < 5.0;
@@ -181,8 +199,8 @@ int main(int argc, char **argv) {
   bool Ok = ShiftOk && OverheadOk && JobsOk;
   BenchJson("report_lifecycle")
       .num("wall_ms", Timer.ms())
-      .num("analysis_ms", Shifted.AnalysisMs)
-      .num("classify_ms", Shifted.ClassifyMs)
+      .num("analysis_ms", MedianAnalysisMs)
+      .num("classify_ms", MedianClassifyMs)
       .num("classify_overhead_pct", OverheadPct)
       .count("seed_new", Seed.Delta.NewCount)
       .count("shifted_new", Shifted.Delta.NewCount)

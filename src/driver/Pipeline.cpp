@@ -6,6 +6,7 @@
 
 #include "driver/Pipeline.h"
 
+#include "checkers/BuiltinCheckers.h"
 #include "driver/Tool.h"
 #include "lifecycle/BaselineStore.h"
 #include "report/Witness.h"
@@ -143,19 +144,28 @@ RunResult mc::runRequest(XgccTool &Tool, const RunRequest &Req, RunHost &Host,
                    [](const std::string &A, const std::string &B) {
                      return (A == "path_kill") > (B == "path_kill");
                    });
+  // Compiling and registering are separate steps so that only a bad name or
+  // bad metal fails the request: a checker registered twice is dropped by
+  // addChecker with a warning, and the run goes on.
   for (const std::string &Name : Names) {
     if (Skipped(Name))
       continue;
-    if (!Tool.addBuiltinChecker(Name))
+    std::unique_ptr<MetalChecker> C =
+        makeBuiltinChecker(Name, Tool.sourceManager(), Tool.diags());
+    if (!C)
       return fail(Res, 2, "unknown builtin checker '" + Name + "'");
-    Res.Checkers.push_back(Name);
+    if (Tool.addChecker(std::move(C)))
+      Res.Checkers.push_back(Name);
   }
   for (const auto &[Name, Source] : Req.Metal) {
     if (Skipped(Name))
       continue;
-    if (!Tool.addMetalChecker(Source, Name))
+    std::unique_ptr<MetalChecker> C =
+        compileMetalChecker(Source, Name, Tool.sourceManager(), Tool.diags());
+    if (!C)
       return fail(Res, 2, "errors in metal checker '" + Name + "'");
-    Res.Checkers.push_back(Name);
+    if (Tool.addChecker(std::move(C)))
+      Res.Checkers.push_back(Name);
   }
   for (std::unique_ptr<Checker> &C : Host.ExtraCheckers) {
     std::string Name(C->name());

@@ -28,10 +28,12 @@ struct Engine::PointInfo {
 };
 
 /// Path-private analysis state: the extension's sm_instance plus the
-/// supporting analyses' state. Copied at splits, dropped on backtrack.
+/// supporting analyses' per-path state. Copied at splits, dropped on
+/// backtrack. False-path pruning's facts are not in here: they live on the
+/// activation's ValueTracker (FrameCtx::VT), which every split marks and
+/// undoes instead of copying.
 struct Engine::PathState {
   SMInstance SMI;
-  ValueTracker VT;
   std::vector<PathSpecificEffect> PendingEffects; ///< At a branch condition.
   std::vector<PathSpecificEffect> PendingForks;   ///< Elsewhere: fork.
   std::string PathAnnotation;
@@ -66,6 +68,9 @@ struct Engine::FrameCtx {
   std::vector<PathState> *ExitStates = nullptr;
   ExitKeySet *ExitKeys = nullptr;
   std::set<const FunctionDecl *> *CallStack = nullptr;
+  /// The activation's false-path-pruning facts, shared by all of its paths:
+  /// each fork opens a TrackerScope per branch.
+  ValueTracker *VT = nullptr;
   unsigned Depth = 0;
   uint64_t PathsThisFunction = 0;
   bool PathLimitReached = false;
@@ -677,9 +682,9 @@ bool Engine::blockMayFire(const BasicBlock *B) {
 // Transparent analyses (Section 8)
 //===----------------------------------------------------------------------===//
 
-void Engine::handleAssignment(PathState &PS, const Expr *LHS, const Expr *RHS,
-                              const Stmt *TopStmt, bool Compound,
-                              unsigned Depth) {
+void Engine::handleAssignment(PathState &PS, ValueTracker &VT, const Expr *LHS,
+                              const Expr *RHS, const Stmt *TopStmt,
+                              bool Compound, unsigned Depth) {
   const Expr *LHSStripped = stripCasts(LHS);
   if (!LHSStripped)
     return;
@@ -757,16 +762,16 @@ void Engine::handleAssignment(PathState &PS, const Expr *LHS, const Expr *RHS,
   // False-path pruning's value tracking.
   if (Opts.EnableFalsePathPruning) {
     if (Compound) {
-      PS.VT.havoc(LHSStripped);
+      VT.havoc(LHSStripped);
     } else {
-      PS.VT.assign(LHSStripped, RHS);
+      VT.assign(LHSStripped, RHS);
       // The tracker noticed a clean variable-to-variable rebind. When the
       // synonym machinery is off (ablation or a checker opting out) this is
       // the only record that the alias exists; journal it if the source is a
       // tracked object, so the witness still explains how state reached the
       // reported name.
       if (!SynonymMade) {
-        ValueTracker::RebindNote Note = PS.VT.lastRebind();
+        ValueTracker::RebindNote Note = VT.lastRebind();
         if (Note.Valid)
           if (const VarState *SrcVS = PS.SMI.findByKey(exprKey(Note.From)))
             NoteRebind(exprKey(LHSStripped),
@@ -827,12 +832,12 @@ void Engine::handlePoint(FrameCtx &Frame, const BasicBlock *B, PathState &PS,
 
   if (const auto *BO = dyn_cast<BinaryOperator>(PI.Point)) {
     if (BO->isAssignment())
-      handleAssignment(PS, BO->lhs(), BO->rhs(), PI.TopStmt,
+      handleAssignment(PS, *Frame.VT, BO->lhs(), BO->rhs(), PI.TopStmt,
                        BO->isCompoundAssignment(), Frame.Depth);
   } else if (const auto *UO = dyn_cast<UnaryOperator>(PI.Point)) {
     if (UO->isIncrementDecrement())
-      handleAssignment(PS, UO->sub(), nullptr, PI.TopStmt, /*Compound=*/true,
-                       Frame.Depth);
+      handleAssignment(PS, *Frame.VT, UO->sub(), nullptr, PI.TopStmt,
+                       /*Compound=*/true, Frame.Depth);
   } else if (const auto *DS = dyn_cast<DeclStmt>(PI.Point)) {
     for (const VarDecl *VD : DS->decls()) {
       if (!VD->init())
@@ -845,7 +850,8 @@ void Engine::handlePoint(FrameCtx &Frame, const BasicBlock *B, PathState &PS,
         Ref = Ctx.create<DeclRefExpr>(VD->loc(), VD, VD->type());
         DeclRefCache[VD] = Ref;
       }
-      handleAssignment(PS, Ref, VD->init(), PI.TopStmt, false, Frame.Depth);
+      handleAssignment(PS, *Frame.VT, Ref, VD->init(), PI.TopStmt, false,
+                       Frame.Depth);
     }
   }
 }
@@ -858,8 +864,9 @@ void Engine::traverseBlock(FrameCtx &Frame, const BasicBlock *B,
                            PathState PS) {
   if (Frame.PathLimitReached || rootAborted())
     return;
-  if (Frame.Backtrace.size() >= Opts.MaxPathLength) {
-    // Without caching, loops would unroll forever; cut the path here.
+  if (PathBlocks >= Opts.MaxPathLength) {
+    // Without caching, loops would unroll forever; cut the path here. The
+    // count spans every frame on the DFS, so it also bounds the stack.
     bump(Ctr.PathLimitHits);
     bump(Ctr.PathsExplored);
     return;
@@ -930,7 +937,9 @@ void Engine::traverseBlock(FrameCtx &Frame, const BasicBlock *B,
       Frame.FS->LocalKeys[VS.TreeKey] = isLocalTree(VS.Tree);
 
   Frame.Backtrace.push_back(BacktraceEntry{B, Entry});
+  ++PathBlocks;
   processPoints(Frame, B, Entry, 0, std::move(PS));
+  --PathBlocks;
   Frame.Backtrace.pop_back();
 }
 
@@ -952,6 +961,7 @@ void Engine::processPoints(FrameCtx &Frame, const BasicBlock *B,
       PathSpecificEffect Eff = PS.PendingForks.front();
       PS.PendingForks.erase(PS.PendingForks.begin());
       for (bool Branch : {true, false}) {
+        TrackerScope Facts(*Frame.VT);
         PathState Copy = PS;
         int Value = Branch ? Eff.TrueValue : Eff.FalseValue;
         if (VarState *VS = Copy.SMI.findByKey(Eff.TreeKey)) {
@@ -1115,12 +1125,32 @@ void Engine::finishBlock(FrameCtx &Frame, const BasicBlock *B,
     return;
   }
 
-  // Decide edge feasibility (false path pruning, Section 8).
-  std::vector<std::pair<const CFGEdge *, PathState>> Feasible;
+  // Decide edge feasibility (false path pruning, Section 8). Each edge's
+  // condition is assumed and undone right here, so the number of feasible
+  // successors is known before any of them is traversed; the traversal
+  // below assumes it again under a mark of its own.
+  ValueTracker &VT = *Frame.VT;
   bool UseFPP = Opts.EnableFalsePathPruning && B->condition();
+  auto AssumeEdge = [&](const CFGEdge &Edge) {
+    if (Edge.Kind == CFGEdge::True)
+      return VT.assume(B->condition(), true);
+    if (Edge.Kind == CFGEdge::False)
+      return VT.assume(B->condition(), false);
+    if (Edge.Kind == CFGEdge::Case && Edge.CaseValue)
+      return VT.assumeEq(B->condition(), Edge.CaseValue, true);
+    bool Ok = true;
+    if (Edge.Kind == CFGEdge::Default) {
+      // The default arm excludes every case label.
+      for (const CFGEdge &Other : Succs)
+        if (Ok && Other.Kind == CFGEdge::Case && Other.CaseValue)
+          Ok = VT.assumeEq(B->condition(), Other.CaseValue, false);
+    }
+    return Ok;
+  };
+  std::vector<std::pair<const CFGEdge *, PathState>> Feasible;
   Tri CondValue = Tri::Unknown;
   if (UseFPP)
-    CondValue = PS.VT.evaluate(B->condition());
+    CondValue = VT.evaluate(B->condition());
 
   for (const CFGEdge &Edge : Succs) {
     if (UseFPP) {
@@ -1133,31 +1163,21 @@ void Engine::finishBlock(FrameCtx &Frame, const BasicBlock *B,
         continue;
       }
       if (Edge.Kind == CFGEdge::Case && Edge.CaseValue &&
-          PS.VT.compareEq(B->condition(), Edge.CaseValue) == Tri::False) {
+          VT.compareEq(B->condition(), Edge.CaseValue) == Tri::False) {
         bump(Ctr.PathsPruned);
         continue;
       }
-    }
-    PathState Copy = PS;
-    if (UseFPP) {
-      bool Ok = true;
-      if (Edge.Kind == CFGEdge::True)
-        Ok = Copy.VT.assume(B->condition(), true);
-      else if (Edge.Kind == CFGEdge::False)
-        Ok = Copy.VT.assume(B->condition(), false);
-      else if (Edge.Kind == CFGEdge::Case && Edge.CaseValue) {
-        Ok = Copy.VT.assumeEq(B->condition(), Edge.CaseValue, true);
-      } else if (Edge.Kind == CFGEdge::Default) {
-        // The default arm excludes every case label.
-        for (const CFGEdge &Other : Succs)
-          if (Ok && Other.Kind == CFGEdge::Case && Other.CaseValue)
-            Ok = Copy.VT.assumeEq(B->condition(), Other.CaseValue, false);
+      bool Ok;
+      {
+        TrackerScope Probe(VT);
+        Ok = AssumeEdge(Edge);
       }
       if (!Ok) {
         bump(Ctr.PathsPruned);
         continue;
       }
     }
+    PathState Copy = PS;
     // Apply path-specific transitions for the taken branch (Section 3.2).
     if (Edge.Kind == CFGEdge::True || Edge.Kind == CFGEdge::False) {
       bool Taken = Edge.Kind == CFGEdge::True;
@@ -1240,8 +1260,14 @@ void Engine::finishBlock(FrameCtx &Frame, const BasicBlock *B,
           ++VS.CondsCrossed;
   }
 
-  for (auto &[Edge, State] : Feasible)
+  for (auto &[Edge, State] : Feasible) {
+    TrackerScope Facts(VT);
+    if (UseFPP) {
+      [[maybe_unused]] bool Ok = AssumeEdge(*Edge);
+      assert(Ok && "a feasible edge stays feasible when assumed again");
+    }
     traverseBlock(Frame, Edge->To, std::move(State));
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -1351,7 +1377,6 @@ Engine::PathState Engine::restore(const PathState &CallerPS, SMInstance ExitSM,
                                   const RestoreInfo &RI,
                                   const FunctionDecl *Callee) {
   PathState Out;
-  Out.VT = CallerPS.VT;
   Out.PathAnnotation = CallerPS.PathAnnotation;
   // Scope-leave end-of-path reports below fire with the caller's journal as
   // their witness (route-invariant: identical whether the exit SMI came from
@@ -1696,6 +1721,9 @@ void Engine::followCall(FrameCtx &Frame, const BasicBlock *B,
     if (annotationRank(ExitPS.PathAnnotation) <
         annotationRank(Cont.PathAnnotation))
       Cont.PathAnnotation = ExitPS.PathAnnotation;
+    // Every exit continues from the caller's facts at the call: the callee
+    // learned its own on a tracker of its own.
+    TrackerScope Facts(*Frame.VT);
     processPoints(Frame, B, EntrySnapshot, NextIdx, std::move(Cont));
   }
 }
@@ -1721,6 +1749,10 @@ Engine::analyzeFunction(const FunctionDecl *Fn, PathState PS,
   Frame.ExitStates = &Exits;
   Frame.ExitKeys = &ExitKeys;
   Frame.CallStack = &Stack;
+  // A callee starts knowing nothing of its caller's values (refine passes
+  // checker state only), so each activation owns a fresh tracker.
+  ValueTracker VT;
+  Frame.VT = &VT;
   Frame.Depth = Depth;
   traverseBlock(Frame, G->entry(), std::move(PS));
   return Exits;

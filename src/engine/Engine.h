@@ -108,9 +108,12 @@ struct EngineOptions {
   bool EnableStateInterning = true;
   /// Safety valves for cache-off configurations: a function analysis stops
   /// exploring after this many completed paths, and a single path aborts
-  /// after this many blocks (without caching, loops never converge).
+  /// after this many blocks (without caching, loops never converge). The
+  /// path length counts blocks across every frame of the DFS — callers'
+  /// blocks too — because each one holds stack: the default keeps the
+  /// deepest cache-off walk inside a 6 MiB stack.
   uint64_t MaxPathsPerFunction = 1u << 20;
-  unsigned MaxPathLength = 4096;
+  unsigned MaxPathLength = 2048;
   unsigned MaxCallDepth = 64;
   /// Fault-containment valves. Unlike the truncating valves above (which
   /// quietly stop exploring and keep the partial result), these abort the
@@ -323,8 +326,9 @@ private:
 
   /// Section 8 transparent analyses at an assignment-shaped point. \p Depth
   /// tags witness rebind steps with the call-chain level.
-  void handleAssignment(PathState &PS, const Expr *LHS, const Expr *RHS,
-                        const Stmt *TopStmt, bool Compound, unsigned Depth);
+  void handleAssignment(PathState &PS, ValueTracker &VT, const Expr *LHS,
+                        const Expr *RHS, const Stmt *TopStmt, bool Compound,
+                        unsigned Depth);
   void handlePoint(FrameCtx &Frame, const BasicBlock *B, PathState &PS,
                    const PointInfo &PI, bool &Matched);
 
@@ -434,6 +438,10 @@ private:
   const Checker *MemoChecker = nullptr;
   bool blockMayFire(const BasicBlock *B);
   unsigned SynonymGroupCounter = 0;
+
+  /// Blocks on the current DFS path, summed over every frame: the count
+  /// MaxPathLength bounds.
+  unsigned PathBlocks = 0;
 
   /// Per-root fault-containment state (reset by analyzeRoot).
   RootAbortKind AbortKind = RootAbortKind::None;

@@ -12,39 +12,98 @@
 
 using namespace mc;
 
-TermId CongruenceClosure::fresh() {
+void CongruenceClosure::undo(Mark M) {
+  assert(M <= Trail.size() && "undo past a mark that was already undone");
+  while (Trail.size() > M) {
+    const Undo U = Trail.back();
+    Trail.pop_back();
+    switch (U.K) {
+    case Undo::NewConstant:
+      Constants.erase(*Nodes.back().Const);
+      Nodes.pop_back();
+      break;
+    case Undo::NewVariable:
+      Variables.erase(VarTrail.back());
+      VarTrail.pop_back();
+      Nodes.pop_back();
+      break;
+    case Undo::NewApp: {
+      const Node &N = Nodes.back();
+      AppSignatures.erase(AppKey{N.Op, N.Arg0, N.Arg1});
+      Nodes[N.Arg1].Uses.pop_back();
+      Nodes[N.Arg0].Uses.pop_back();
+      Nodes.pop_back();
+      break;
+    }
+    case Undo::Signature: {
+      // Every later mutation is already undone, so the argument classes are
+      // the ones the signature was recorded under.
+      const Node &N = Nodes[U.Node];
+      AppSignatures.erase(AppKey{N.Op, find(N.Arg0), find(N.Arg1)});
+      break;
+    }
+    case Undo::Link: {
+      Node &Child = Nodes[U.Node];
+      Node &Parent = Nodes[Child.Parent];
+      Child.Parent = U.Node;
+      Parent.Rank = U.Rank;
+      if (!U.HadConst)
+        Parent.Const.reset();
+      Parent.Uses.resize(U.NumUses);
+      Parent.Diseqs.resize(U.NumDiseqs);
+      Parent.Less.resize(U.NumLess);
+      break;
+    }
+    case Undo::Diseq:
+      Nodes[U.Node].Diseqs.pop_back();
+      break;
+    case Undo::Less:
+      Nodes[U.Node].Less.pop_back();
+      break;
+    case Undo::Contradiction:
+      Contradiction = false;
+      break;
+    }
+  }
+}
+
+TermId CongruenceClosure::fresh(Undo::Kind K) {
   Nodes.push_back(Node{});
   Nodes.back().Parent = Nodes.size() - 1;
+  Trail.push_back(Undo{K});
   return Nodes.size() - 1;
+}
+
+bool CongruenceClosure::contradict() {
+  if (!Contradiction) {
+    Contradiction = true;
+    Trail.push_back(Undo{Undo::Contradiction});
+  }
+  return false;
 }
 
 TermId CongruenceClosure::constant(long long V) {
   auto It = Constants.find(V);
   if (It != Constants.end())
     return It->second;
-  TermId T = fresh();
+  TermId T = fresh(Undo::NewConstant);
   Nodes[T].Const = V;
-  Constants[V] = T;
+  Constants.emplace(V, T);
   return T;
 }
 
 TermId CongruenceClosure::variable(const std::string &Name) {
-  uint32_t Sym = symbolize(Name);
-  auto It = NamedVariables.find(Sym);
-  if (It != NamedVariables.end())
-    return It->second;
-  TermId T = fresh();
-  NamedVariables[Sym] = T;
-  return T;
+  return variable(nullptr, symbolize(Name));
 }
 
 TermId CongruenceClosure::variable(const void *DeclKey, unsigned Version) {
-  DeclVarKey Key{DeclKey, Version};
-  auto It = DeclVariables.find(Key);
-  if (It != DeclVariables.end())
+  VarKey Key{DeclKey, Version};
+  auto It = Variables.find(Key);
+  if (It != Variables.end())
     return It->second;
-  TermId T = fresh();
-  DeclVariables.emplace(Key, T);
+  TermId T = fresh(Undo::NewVariable);
+  Variables.emplace(Key, T);
+  VarTrail.push_back(Key);
   return T;
 }
 
@@ -54,7 +113,7 @@ TermId CongruenceClosure::apply(uint32_t Op, TermId A, TermId B) {
   auto It = AppSignatures.find(Sig);
   if (It != AppSignatures.end())
     return It->second;
-  TermId T = fresh();
+  TermId T = fresh(Undo::NewApp);
   Node &N = Nodes[T];
   N.IsApp = true;
   N.Op = Op;
@@ -71,20 +130,11 @@ TermId CongruenceClosure::apply(const std::string &Op, TermId A, TermId B) {
 }
 
 TermId CongruenceClosure::find(TermId A) const {
+  // No path compression: it would be one more mutation to log, and union by
+  // rank already bounds the walk by log2 of the class size.
   while (A && Nodes[A].Parent != A)
     A = Nodes[A].Parent;
   return A;
-}
-
-TermId CongruenceClosure::findMutable(TermId A) {
-  TermId Root = find(A);
-  // Path compression.
-  while (A && Nodes[A].Parent != Root) {
-    TermId Next = Nodes[A].Parent;
-    Nodes[A].Parent = Root;
-    A = Next;
-  }
-  return Root;
 }
 
 std::optional<long long> CongruenceClosure::constantOf(TermId A) const {
@@ -92,44 +142,54 @@ std::optional<long long> CongruenceClosure::constantOf(TermId A) const {
 }
 
 bool CongruenceClosure::unionClasses(TermId A, TermId B) {
-  TermId RA = findMutable(A), RB = findMutable(B);
+  TermId RA = find(A), RB = find(B);
   if (RA == RB)
     return true;
   // Constant conflicts are contradictions.
   if (Nodes[RA].Const && Nodes[RB].Const &&
-      *Nodes[RA].Const != *Nodes[RB].Const) {
-    Contradiction = true;
-    return false;
-  }
-  // Disequality violations.
-  for (auto &[X, Y] : Diseqs) {
-    TermId FX = find(X), FY = find(Y);
-    if ((FX == RA && FY == RB) || (FX == RB && FY == RA)) {
-      Contradiction = true;
-      return false;
-    }
-  }
+      *Nodes[RA].Const != *Nodes[RB].Const)
+    return contradict();
+  // Disequality violations: both classes list every disequality that
+  // touches them, so the shorter list suffices.
+  TermId Short = RA, Other = RB;
+  if (Nodes[RB].Diseqs.size() < Nodes[RA].Diseqs.size())
+    std::swap(Short, Other);
+  for (TermId D : Nodes[Short].Diseqs)
+    if (find(D) == Other)
+      return contradict();
   if (Nodes[RA].Rank < Nodes[RB].Rank)
     std::swap(RA, RB);
+  Node &Parent = Nodes[RA];
+  const Node &Child = Nodes[RB];
+  Undo U{Undo::Link, Parent.Const.has_value(), RB, Parent.Rank};
+  U.NumUses = Parent.Uses.size();
+  U.NumDiseqs = Parent.Diseqs.size();
+  U.NumLess = Parent.Less.size();
+  Trail.push_back(U);
   Nodes[RB].Parent = RA;
-  if (Nodes[RA].Rank == Nodes[RB].Rank)
-    ++Nodes[RA].Rank;
-  if (!Nodes[RA].Const)
-    Nodes[RA].Const = Nodes[RB].Const;
-  // Move uses for congruence propagation.
-  std::vector<TermId> Moved = std::move(Nodes[RB].Uses);
-  Nodes[RB].Uses.clear();
-  for (TermId U : Moved)
-    Nodes[RA].Uses.push_back(U);
+  if (Parent.Rank == Child.Rank)
+    ++Parent.Rank;
+  if (!Parent.Const)
+    Parent.Const = Child.Const;
+  Parent.Uses.insert(Parent.Uses.end(), Child.Uses.begin(), Child.Uses.end());
+  Parent.Diseqs.insert(Parent.Diseqs.end(), Child.Diseqs.begin(),
+                       Child.Diseqs.end());
+  Parent.Less.insert(Parent.Less.end(), Child.Less.begin(), Child.Less.end());
   if (!recongruence(RA))
     return false;
-  return checkOrderConsistency();
+  // Before the union there was no strict cycle, so a new one must pass
+  // through the merged class (find: recongruence may have merged it again).
+  if (orderedPath(RA, RA, /*NeedStrict=*/true))
+    return contradict();
+  return true;
 }
 
 bool CongruenceClosure::recongruence(TermId MergedRep) {
   // Any two application terms whose signatures now coincide must be merged.
-  std::vector<TermId> Uses = Nodes[MergedRep].Uses;
-  for (TermId U : Uses) {
+  // The use list only grows during nested unions, so walking the prefix
+  // that existed on entry sees exactly the terms a copy would.
+  for (size_t I = 0, E = Nodes[MergedRep].Uses.size(); I != E; ++I) {
+    TermId U = Nodes[MergedRep].Uses[I];
     const Node &NU = Nodes[U];
     if (!NU.IsApp)
       continue;
@@ -137,6 +197,7 @@ bool CongruenceClosure::recongruence(TermId MergedRep) {
     auto It = AppSignatures.find(Sig);
     if (It == AppSignatures.end()) {
       AppSignatures.emplace(Sig, U);
+      Trail.push_back(Undo{Undo::Signature, false, U});
       continue;
     }
     if (find(It->second) != find(U))
@@ -158,73 +219,77 @@ bool CongruenceClosure::addDisequal(TermId A, TermId B) {
   if (!A || !B)
     return true;
   TermId RA = find(A), RB = find(B);
-  if (RA == RB) {
-    Contradiction = true;
-    return false;
-  }
-  Diseqs.insert({RA, RB});
+  if (RA == RB)
+    return contradict();
+  for (TermId D : Nodes[RA].Diseqs)
+    if (find(D) == RB)
+      return true; // Already recorded.
+  Nodes[RA].Diseqs.push_back(RB);
+  Trail.push_back(Undo{Undo::Diseq, false, RA});
+  Nodes[RB].Diseqs.push_back(RA);
+  Trail.push_back(Undo{Undo::Diseq, false, RB});
   return true;
 }
 
 bool CongruenceClosure::orderedPath(TermId A, TermId B, bool NeedStrict) const {
-  // DFS over ordering edges with rep canonicalization. Constants contribute
-  // implicit edges via comparison at the endpoints only (handled by less()).
-  TermId Target = find(B);
-  std::vector<std::pair<TermId, bool>> Stack{{find(A), false}};
-  std::set<std::pair<TermId, bool>> Seen;
-  while (!Stack.empty()) {
+  // DFS over (class, strict-so-far) pairs along the per-class edge lists.
+  // Constants contribute implicit edges via comparison at the endpoints only
+  // (handled by less()). Seen bit 1: reached without a strict edge; bit 2:
+  // reached with one, which subsumes bit 1.
+  TermId From = find(A), Target = find(B);
+  if (Nodes[From].Less.empty())
+    return false;
+  if (Seen.size() < Nodes.size())
+    Seen.resize(Nodes.size());
+  Stack.assign(1, {From, false});
+  bool Found = false;
+  while (!Found && !Stack.empty()) {
     auto [At, Strict] = Stack.back();
     Stack.pop_back();
-    if (!Seen.insert({At, Strict}).second)
+    uint8_t Bit = Strict ? 2 : 1;
+    if (Seen[At] & (Bit | 2))
       continue;
-    for (const auto &[X, Y, EdgeStrict] : Orders) {
-      if (find(X) != At)
-        continue;
+    if (!Seen[At])
+      Visited.push_back(At);
+    Seen[At] |= Bit;
+    for (const auto &[To, EdgeStrict] : Nodes[At].Less) {
       bool NewStrict = Strict || EdgeStrict;
-      TermId Next = find(Y);
-      if (Next == Target && (NewStrict || !NeedStrict))
-        return true;
+      TermId Next = find(To);
+      if (Next == Target && (NewStrict || !NeedStrict)) {
+        Found = true;
+        break;
+      }
       Stack.push_back({Next, NewStrict});
     }
   }
-  return false;
-}
-
-bool CongruenceClosure::checkOrderConsistency() {
-  // A strict cycle (x < ... < x) is a contradiction.
-  std::set<TermId> Reps;
-  for (const auto &[X, Y, Strict] : Orders) {
-    Reps.insert(find(X));
-    Reps.insert(find(Y));
-  }
-  for (TermId R : Reps) {
-    if (orderedPath(R, R, /*NeedStrict=*/true)) {
-      Contradiction = true;
-      return false;
-    }
-  }
-  return true;
+  for (TermId T : Visited)
+    Seen[T] = 0;
+  Visited.clear();
+  return Found;
 }
 
 bool CongruenceClosure::addLess(TermId A, TermId B, bool Strict) {
   if (!A || !B)
     return true;
   TermId RA = find(A), RB = find(B);
-  if (RA == RB && Strict) {
-    Contradiction = true;
-    return false;
-  }
+  if (RA == RB)
+    return Strict ? contradict() : true; // x <= x says nothing.
   auto CA = Nodes[RA].Const, CB = Nodes[RB].Const;
   if (CA && CB) {
     bool Holds = Strict ? *CA < *CB : *CA <= *CB;
-    if (!Holds) {
-      Contradiction = true;
-      return false;
-    }
-    return true;
+    return Holds ? true : contradict();
   }
-  Orders.insert({RA, RB, Strict});
-  return checkOrderConsistency();
+  for (const auto &[To, EdgeStrict] : Nodes[RA].Less)
+    if ((EdgeStrict || !Strict) && find(To) == RB)
+      return true; // Already recorded (or implied by a stricter edge).
+  Nodes[RA].Less.push_back({RB, Strict});
+  Trail.push_back(Undo{Undo::Less, false, RA});
+  // There was no strict cycle before, so a new one must use this edge:
+  // A -> B closes a strict cycle iff B reaches A, strictly unless the new
+  // edge already is.
+  if (orderedPath(RB, RA, /*NeedStrict=*/!Strict))
+    return contradict();
+  return true;
 }
 
 Tri CongruenceClosure::equal(TermId A, TermId B) const {
@@ -236,11 +301,9 @@ Tri CongruenceClosure::equal(TermId A, TermId B) const {
   auto CA = Nodes[RA].Const, CB = Nodes[RB].Const;
   if (CA && CB)
     return *CA == *CB ? Tri::True : Tri::False;
-  for (auto &[X, Y] : Diseqs) {
-    TermId FX = find(X), FY = find(Y);
-    if ((FX == RA && FY == RB) || (FX == RB && FY == RA))
+  for (TermId D : Nodes[RA].Diseqs)
+    if (find(D) == RB)
       return Tri::False;
-  }
   // A strict ordering either way implies disequality.
   if (orderedPath(RA, RB, true) || orderedPath(RB, RA, true))
     return Tri::False;

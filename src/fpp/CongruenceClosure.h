@@ -16,10 +16,9 @@
 #ifndef MC_FPP_CONGRUENCECLOSURE_H
 #define MC_FPP_CONGRUENCECLOSURE_H
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -34,9 +33,21 @@ enum class Tri { False, True, Unknown };
 using TermId = unsigned;
 
 /// Union-find with congruence propagation plus ordering relations.
-/// Copyable: the engine snapshots it at path splits.
+///
+/// Backtrackable: every mutation — new terms and their hash-cons entries,
+/// links, use/disequality/ordering list growth, the contradiction flag — is
+/// logged on an undo trail. The engine takes mark() at a path split and
+/// undo()es back to it when the branch is done, instead of copying the
+/// closure; that is sound because the DFS is strictly nested. After
+/// undo(M), every query answers exactly as it did when M was taken.
 class CongruenceClosure {
 public:
+  /// A point on the undo trail.
+  using Mark = size_t;
+  Mark mark() const { return Trail.size(); }
+  /// Reverts every mutation made since \p M was taken.
+  void undo(Mark M);
+
   /// Returns the term for integer constant \p V.
   TermId constant(long long V);
   /// Returns the term for a named variable version (e.g. "x#3"). Interns the
@@ -79,10 +90,18 @@ private:
     TermId Parent = 0;
     unsigned Rank = 0;
     std::optional<long long> Const;
+    /// The lists below are kept at class representatives: a union appends
+    /// the absorbed class's lists to the surviving rep's, and leaves the
+    /// absorbed rep's own lists untouched so undo only has to truncate.
     /// Application terms that mention this class (congruence worklist).
     std::vector<TermId> Uses;
-    /// For application terms: the signature pieces. Op is an interned
-    /// operator symbol, making Node trivially cheap to copy at path splits.
+    /// Terms recorded unequal to this class (each disequality is listed at
+    /// both ends).
+    std::vector<TermId> Diseqs;
+    /// Ordering edges out of this class: (greater term, strict).
+    std::vector<std::pair<TermId, bool>> Less;
+    /// For application terms: the signature pieces (the argument classes
+    /// when the term was created). Op is an interned operator symbol.
     bool IsApp = false;
     uint32_t Op = 0;
     TermId Arg0 = 0, Arg1 = 0;
@@ -103,11 +122,12 @@ private:
       return size_t(H ^ (H >> 32));
     }
   };
-  /// Exact (declaration pointer, version) pair. Hashing is only for bucket
-  /// placement — equality is exact, so collisions can never merge variables.
-  using DeclVarKey = std::pair<const void *, unsigned>;
-  struct DeclVarKeyHash {
-    size_t operator()(const DeclVarKey &K) const {
+  /// Exact (declaration pointer, version) pair; named variables use a null
+  /// pointer and the interned name. Hashing is only for bucket placement —
+  /// equality is exact, so collisions can never merge variables.
+  using VarKey = std::pair<const void *, unsigned>;
+  struct VarKeyHash {
+    size_t operator()(const VarKey &K) const {
       uint64_t H = uint64_t(reinterpret_cast<uintptr_t>(K.first)) *
                    0x9e3779b97f4a7c15ULL;
       H ^= uint64_t(K.second) * 0xff51afd7ed558ccdULL;
@@ -115,28 +135,51 @@ private:
     }
   };
 
-  TermId fresh();
-  TermId findMutable(TermId A);
+  /// One logged mutation. undo() pops entries in reverse, so each is undone
+  /// against exactly the state it was made in.
+  struct Undo {
+    enum Kind : uint8_t {
+      NewConstant, ///< Nodes.back() is a constant term.
+      NewVariable, ///< Nodes.back() is the variable VarTrail.back().
+      NewApp,      ///< Nodes.back() is an application term.
+      Signature,   ///< AppSignatures gained app term Node's signature.
+      Link,        ///< Node was linked under its parent.
+      Diseq,       ///< Node's Diseqs grew by one.
+      Less,        ///< Node's Less grew by one.
+      Contradiction,
+    };
+    Kind K;
+    /// Link: whether the parent's class already had a constant.
+    bool HadConst = false;
+    TermId Node = 0;
+    /// Link: the parent's rank and list lengths before the link.
+    unsigned Rank = 0;
+    uint32_t NumUses = 0, NumDiseqs = 0, NumLess = 0;
+  };
+
+  TermId fresh(Undo::Kind K);
+  bool contradict();
   bool unionClasses(TermId A, TermId B);
   /// Re-canonicalizes application signatures after a union.
   bool recongruence(TermId MergedRep);
   /// True when an ordering path A -> B exists using recorded edges;
   /// \p NeedStrict requires at least one strict edge on the path.
   bool orderedPath(TermId A, TermId B, bool NeedStrict) const;
-  bool checkOrderConsistency();
 
   std::vector<Node> Nodes{1}; // index 0 unused
-  std::map<long long, TermId> Constants;
-  /// Interned-name variables (test/ad-hoc entry point).
-  std::unordered_map<uint32_t, TermId> NamedVariables;
-  /// Engine variables keyed by exact (Decl*, version).
-  std::unordered_map<DeclVarKey, TermId, DeclVarKeyHash> DeclVariables;
+  std::unordered_map<long long, TermId> Constants;
+  std::unordered_map<VarKey, TermId, VarKeyHash> Variables;
   std::unordered_map<AppKey, TermId, AppKeyHash> AppSignatures;
-  /// Disequalities between class reps (kept canonical lazily).
-  std::set<std::pair<TermId, TermId>> Diseqs;
-  /// Ordering edges rep->rep; bool = strict.
-  std::set<std::tuple<TermId, TermId, bool>> Orders;
   bool Contradiction = false;
+  std::vector<Undo> Trail;
+  /// The keys of NewVariable entries, popped in step with them.
+  std::vector<VarKey> VarTrail;
+  /// orderedPath's working storage: per-node visit bits (all zero between
+  /// calls) and its work stack. Mutable, so even const queries must not run
+  /// concurrently on one closure; each engine's trackers are its own.
+  mutable std::vector<uint8_t> Seen;
+  mutable std::vector<TermId> Visited;
+  mutable std::vector<std::pair<TermId, bool>> Stack;
 };
 
 } // namespace mc

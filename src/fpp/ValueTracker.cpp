@@ -11,6 +11,16 @@
 
 using namespace mc;
 
+void ValueTracker::undo(Mark M) {
+  CC.undo(M.Facts);
+  while (Renamed.size() > M.Renames) {
+    auto It = Versions.find(Renamed.back());
+    if (--It->second == 0)
+      Versions.erase(It);
+    Renamed.pop_back();
+  }
+}
+
 TermId ValueTracker::currentVar(const Decl *D) const {
   auto It = Versions.find(D);
   unsigned V = It == Versions.end() ? 0 : It->second;
@@ -20,6 +30,7 @@ TermId ValueTracker::currentVar(const Decl *D) const {
 
 TermId ValueTracker::freshVersion(const Decl *D) {
   ++Versions[D];
+  Renamed.push_back(D);
   return currentVar(D);
 }
 

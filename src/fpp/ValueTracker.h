@@ -12,7 +12,9 @@
 /// branch conditions to prune infeasible paths. Deliberately imprecise —
 /// "most paths are executable and most data dependencies are simple."
 ///
-/// Copyable: the engine forks it at path splits and reverts on backtrack.
+/// Backtrackable: mark() before a path split and undo() back to the mark
+/// when the branch is done (TrackerScope does both), so one tracker serves a
+/// whole function activation without a copy at any fork.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,13 +24,23 @@
 #include "cfront/AST.h"
 #include "fpp/CongruenceClosure.h"
 
-#include <map>
+#include <unordered_map>
+#include <vector>
 
 namespace mc {
 
 /// Tracks variable values along one execution path.
 class ValueTracker {
 public:
+  /// A point to undo back to: the closure's trail and the rename log.
+  struct Mark {
+    CongruenceClosure::Mark Facts = 0;
+    size_t Renames = 0;
+  };
+  Mark mark() const { return Mark{CC.mark(), Renamed.size()}; }
+  /// Forgets every fact, term and rename learned since \p M was taken.
+  void undo(Mark M);
+
   /// Records the assignment `LHS = RHS` (or a DeclStmt initializer). Only
   /// plain variable LHSes are tracked; anything else havocs conservatively.
   void assign(const Expr *LHS, const Expr *RHS);
@@ -85,8 +97,27 @@ private:
   // Mutable from logically-const term construction (hash-consing grows the
   // closure without changing observable facts).
   mutable CongruenceClosure CC;
-  std::map<const Decl *, unsigned> Versions;
+  /// The current version of each renamed declaration (absent = 0).
+  std::unordered_map<const Decl *, unsigned> Versions;
+  /// One entry per freshVersion(), popped by undo().
+  std::vector<const Decl *> Renamed;
+  /// Describes the most recent assign() only; undo() leaves it alone.
   RebindNote Rebind;
+};
+
+/// Undoes, on destruction, everything \p VT learned since construction. The
+/// engine opens one per branch at every path split; the DFS is strictly
+/// nested, the same fact BumpScope relies on.
+class TrackerScope {
+public:
+  explicit TrackerScope(ValueTracker &VT) : VT(VT), M(VT.mark()) {}
+  ~TrackerScope() { VT.undo(M); }
+  TrackerScope(const TrackerScope &) = delete;
+  TrackerScope &operator=(const TrackerScope &) = delete;
+
+private:
+  ValueTracker &VT;
+  ValueTracker::Mark M;
 };
 
 } // namespace mc

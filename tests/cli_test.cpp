@@ -19,6 +19,9 @@
 #ifndef MC_XGCC_BINARY
 #define MC_XGCC_BINARY "xgcc"
 #endif
+#ifndef MC_SOURCE_DIR
+#define MC_SOURCE_DIR "."
+#endif
 
 namespace {
 
@@ -27,8 +30,12 @@ struct RunResult {
   std::string Output;
 };
 
-RunResult runXgcc(const std::string &Args) {
-  std::string Cmd = std::string(MC_XGCC_BINARY) + " " + Args + " 2>&1";
+/// Runs xgcc on \p Args with stderr redirected to \p StderrTo: by default
+/// into Output, interleaved with stdout.
+RunResult runXgcc(const std::string &Args,
+                  const std::string &StderrTo = "&1") {
+  std::string Cmd =
+      std::string(MC_XGCC_BINARY) + " " + Args + " 2>" + StderrTo;
   FILE *Pipe = popen(Cmd.c_str(), "r");
   RunResult R;
   if (!Pipe)
@@ -40,6 +47,45 @@ RunResult runXgcc(const std::string &Args) {
   int Status = pclose(Pipe);
   R.ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
   return R;
+}
+
+/// One xgcc invocation with stdout and stderr kept apart.
+struct SplitRun {
+  int ExitCode = -1;
+  std::string Out;
+  std::string Err;
+};
+
+std::string readFile(const std::string &Path) {
+  std::string Text;
+  if (FILE *F = fopen(Path.c_str(), "r")) {
+    char Buf[4096];
+    size_t N;
+    while ((N = fread(Buf, 1, sizeof(Buf), F)) > 0)
+      Text.append(Buf, N);
+    fclose(F);
+  }
+  return Text;
+}
+
+SplitRun runXgccSplit(const std::string &Args) {
+  // Named after the running test: ctest runs tests in parallel processes.
+  std::string ErrPath =
+      ::testing::TempDir() + "/cli_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".stderr";
+  RunResult R = runXgcc(Args, ErrPath);
+  SplitRun S{R.ExitCode, std::move(R.Output), readFile(ErrPath)};
+  remove(ErrPath.c_str());
+  return S;
+}
+
+size_t countOf(const std::string &Text, const std::string &Needle) {
+  size_t N = 0;
+  for (size_t At = Text.find(Needle); At != std::string::npos;
+       At = Text.find(Needle, At + Needle.size()))
+    ++N;
+  return N;
 }
 
 std::string writeTemp(const std::string &Name, const std::string &Text) {
@@ -106,20 +152,62 @@ TEST(Cli, StatsFlag) {
   remove(Src.c_str());
 }
 
+const char *GetsSource = "char *gets(char *b);\n"
+                         "void f(char *b) { gets(b); }\n";
+const char *NoGetsMetal =
+    "sm no_gets;\n"
+    "decl any_fn_call fn;\ndecl any_arguments args;\n"
+    "start: { fn(args) } && ${ mc_is_call_to(fn, \"gets\") } ==> start, "
+    "{ err(\"never use gets()\"); };\n";
+
 TEST(Cli, MetalCheckerFromFile) {
-  std::string Src = writeTemp("cli_gets.c", "char *gets(char *b);\n"
-                                            "void f(char *b) { gets(b); }\n");
-  std::string Metal = writeTemp(
-      "cli_no_gets.metal",
-      "sm no_gets;\n"
-      "decl any_fn_call fn;\ndecl any_arguments args;\n"
-      "start: { fn(args) } && ${ mc_is_call_to(fn, \"gets\") } ==> start, "
-      "{ err(\"never use gets()\"); };\n");
+  std::string Src = writeTemp("cli_gets.c", GetsSource);
+  std::string Metal = writeTemp("cli_no_gets.metal", NoGetsMetal);
   RunResult R = runXgcc("--metal " + Metal + " " + Src);
   EXPECT_EQ(R.ExitCode, 0);
   EXPECT_NE(R.Output.find("never use gets()"), std::string::npos);
   remove(Src.c_str());
   remove(Metal.c_str());
+}
+
+TEST(Cli, RepeatedCheckerWarnsAndRunsOnce) {
+  std::string Src = writeTemp("cli_dup.c", BuggySource);
+  SplitRun R = runXgccSplit("--checker free --checker free " + Src);
+  EXPECT_EQ(R.ExitCode, 0) << R.Err;
+  EXPECT_EQ(countOf(R.Out, "using p after free!"), 1u) << R.Out;
+  EXPECT_NE(R.Out.find("1 report(s)"), std::string::npos);
+  EXPECT_EQ(countOf(R.Err, "duplicate checker 'free_checker' ignored"), 1u)
+      << R.Err;
+  remove(Src.c_str());
+}
+
+TEST(Cli, RepeatedMetalFileWarnsAndRunsOnce) {
+  std::string Src = writeTemp("cli_dup_gets.c", GetsSource);
+  std::string Metal = writeTemp("cli_dup_gets.metal", NoGetsMetal);
+  SplitRun R = runXgccSplit("--metal " + Metal + " --metal " + Metal + " " +
+                            Src);
+  EXPECT_EQ(R.ExitCode, 0) << R.Err;
+  EXPECT_EQ(countOf(R.Out, "never use gets()"), 1u) << R.Out;
+  EXPECT_NE(R.Out.find("1 report(s)"), std::string::npos);
+  EXPECT_EQ(countOf(R.Err, "duplicate checker 'no_gets' ignored"), 1u)
+      << R.Err;
+  remove(Src.c_str());
+  remove(Metal.c_str());
+}
+
+TEST(Cli, NoCacheDeepPathsFinishAtAnyJobs) {
+  // Without the block cache, queue.c's loops unroll until the path-length
+  // valve cuts them; the valve counts blocks across call frames, so the
+  // walk stays inside the default stack at every --jobs count.
+  std::string Corpus = std::string(MC_SOURCE_DIR) + "/examples/corpus";
+  std::string Args =
+      "--no-cache --checker free -I" + Corpus + " " + Corpus + "/queue.c";
+  SplitRun One = runXgccSplit("--jobs 1 " + Args);
+  SplitRun Four = runXgccSplit("--jobs 4 " + Args);
+  EXPECT_EQ(One.ExitCode, 0) << One.Err;
+  EXPECT_EQ(Four.ExitCode, 0) << Four.Err;
+  EXPECT_NE(One.Out.find("report(s)"), std::string::npos);
+  EXPECT_EQ(One.Out, Four.Out);
 }
 
 TEST(Cli, HistoryRoundTrip) {

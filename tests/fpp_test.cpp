@@ -250,14 +250,27 @@ TEST(ValueTracker, AssignmentInCondition) {
   EXPECT_EQ(VT.evaluate(L.expr("y == 0")), Tri::True);
 }
 
-TEST(ValueTracker, CopyableForPathSplits) {
-  VTLab L{"x", "1", "y == 2"};
+TEST(ValueTracker, BacktracksAtPathSplits) {
+  VTLab L{"x", "1", "2", "y == 2", "x == 1"};
   ValueTracker VT;
   VT.assign(L.expr("x"), L.expr("1"));
-  ValueTracker Fork = VT;
-  ASSERT_TRUE(Fork.assume(L.expr("y == 2"), true));
-  EXPECT_EQ(VT.evaluate(L.expr("y == 2")), Tri::Unknown); // original untouched
-  EXPECT_EQ(Fork.evaluate(L.expr("y == 2")), Tri::True);
+  {
+    TrackerScope Branch(VT);
+    ASSERT_TRUE(VT.assume(L.expr("y == 2"), true));
+    EXPECT_EQ(VT.evaluate(L.expr("y == 2")), Tri::True);
+    VT.assign(L.expr("x"), L.expr("2"));
+    EXPECT_EQ(VT.evaluate(L.expr("x == 1")), Tri::False);
+  }
+  // The branch's assumption and rename are gone; the fact before the split
+  // is not.
+  EXPECT_EQ(VT.evaluate(L.expr("y == 2")), Tri::Unknown);
+  EXPECT_EQ(VT.evaluate(L.expr("x == 1")), Tri::True);
+  // A contradiction is undone too.
+  ValueTracker::Mark M = VT.mark();
+  EXPECT_FALSE(VT.assume(L.expr("x == 1"), false));
+  VT.undo(M);
+  EXPECT_EQ(VT.evaluate(L.expr("x == 1")), Tri::True);
+  EXPECT_TRUE(VT.assume(L.expr("y == 2"), false));
 }
 
 //===----------------------------------------------------------------------===//
@@ -325,6 +338,102 @@ TEST(FPPEngine, LoopBoundValuesDoNotLeakPastExit) {
                        "  return 0;\n"
                        "}";
   EXPECT_TRUE(runBuiltin("free", Source).empty());
+}
+
+/// The source lines of \p Source's free-checker reports, in line order.
+std::vector<unsigned> freeReportLines(const std::string &Source,
+                                      const EngineOptions &Opts = {}) {
+  std::vector<unsigned> Lines;
+  for (const ErrorReport &R : runBuiltinReports("free", Source, Opts))
+    Lines.push_back(R.Line);
+  std::sort(Lines.begin(), Lines.end());
+  return Lines;
+}
+
+TEST(FPPEngine, SuccessorNeverSeesItsSiblingsAssumption) {
+  // Each arm of the first branch reaches exactly one of the two uses. Were
+  // the first-traversed arm's assumption left behind, its sibling would
+  // start from `x == 1` and `x != 1` together and lose its use. The block
+  // cache is off: it would otherwise cut the second arm at the join.
+  std::string Source = std::string(FreeDecls) +
+                       "void opaque(void);\n"
+                       "int f(int *p, int x) {\n"
+                       "  kfree(p);\n"
+                       "  if (x == 1)\n"
+                       "    opaque();\n"
+                       "  else\n"
+                       "    opaque();\n"
+                       "  if (x == 1)\n"
+                       "    return *p;\n"     // line 10: the x == 1 arm
+                       "  return *p + 1;\n"  // line 11: the x != 1 arm
+                       "}";
+  EngineOptions NoCache;
+  NoCache.EnableBlockCache = false;
+  EXPECT_EQ(freeReportLines(Source, NoCache), (std::vector<unsigned>{10, 11}));
+}
+
+TEST(FPPEngine, CalleeFactsNeverReachTheCallersContinuation) {
+  // Value facts do not cross a call in either direction: each activation
+  // tracks values on a tracker of its own, as refine() hands a callee its
+  // checker state only. reset() learns `g == 0`, yet f continues knowing
+  // nothing of g and reaches both of its uses...
+  std::string Source = std::string(FreeDecls) +
+                       "int g;\n"
+                       "void reset(void) {\n"
+                       "  g = 0;\n"
+                       "}\n"
+                       "int f(int *p) {\n"
+                       "  kfree(p);\n"
+                       "  reset();\n"
+                       "  if (g == 0)\n"
+                       "    return *p;\n"     // line 10
+                       "  return *p + 1;\n"  // line 11
+                       "}";
+  EXPECT_EQ(freeReportLines(Source), (std::vector<unsigned>{10, 11}));
+  // ...and touch() starts knowing nothing of its caller's `g == 0`, so the
+  // use on its `g != 0` arm stays reachable.
+  std::string Into = std::string(FreeDecls) +
+                     "int g;\n"
+                     "int *q;\n"
+                     "int touch(void) {\n"
+                     "  if (g != 0)\n"
+                     "    return *q;\n" // line 6
+                     "  return 0;\n"
+                     "}\n"
+                     "int f(void) {\n"
+                     "  kfree(q);\n"
+                     "  if (g == 0)\n"
+                     "    return touch();\n"
+                     "  return 0;\n"
+                     "}";
+  EXPECT_EQ(freeReportLines(Into), (std::vector<unsigned>{6}));
+}
+
+TEST(FPPEngine, EveryCalleeExitStartsFromTheCallersFacts) {
+  // free_one() has two exit states (q freed, r freed), and the caller's
+  // statement goes on after the call: it copies x into y, then sets x to
+  // 5. Were the first exit's renames left behind, the second would copy the
+  // first's x (known 5) into y and prune `y != 5`, losing its report.
+  std::string Source = std::string(FreeDecls) +
+                       "int *q;\n"
+                       "int *r;\n"
+                       "void free_one(int c) {\n"
+                       "  if (c)\n"
+                       "    kfree(q);\n"
+                       "  else\n"
+                       "    kfree(r);\n"
+                       "}\n"
+                       "int f(int x, int c) {\n"
+                       "  int y;\n"
+                       "  free_one(c), y = x, x = 5;\n"
+                       "  if (y != 5)\n"
+                       "    return *q + *r;\n" // line 15, once per exit
+                       "  return 0;\n"
+                       "}";
+  std::vector<std::string> Messages = runBuiltin("free", Source);
+  std::sort(Messages.begin(), Messages.end());
+  EXPECT_EQ(Messages, (std::vector<std::string>{"using q after free!",
+                                                "using r after free!"}));
 }
 
 TEST(FPPEngine, TrackedStatsReportPrunes) {

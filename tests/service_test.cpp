@@ -563,6 +563,7 @@ TEST_F(ServiceTest, XgccServerFlagRoundTrips) {
       "--checker free --baseline @BL@ " + Src,
       "--checker free --baseline @BL@ --suppress-known " + Src,
       "--checker free --format json --explain=2 " + Src,
+      "--checker free --checker free " + Src,
   };
   std::vector<CliRun> Locals;
   for (const std::string &Case : Cases) {
@@ -581,7 +582,8 @@ TEST_F(ServiceTest, XgccServerFlagRoundTrips) {
     Locals.push_back(std::move(Local));
   }
   // The table covers what it claims: a clean run, two refused requests, a
-  // partial run that --fail-on turns into exit 1, and the baseline pair.
+  // partial run that --fail-on turns into exit 1, the baseline pair, and a
+  // repeated checker that warns and runs once.
   EXPECT_NE(Locals[0].Out.find("1 report(s)"), std::string::npos);
   EXPECT_EQ(Locals[1].Code, 2);
   EXPECT_NE(Locals[1].Err.find("unknown builtin checker 'nosuch'"),
@@ -593,6 +595,10 @@ TEST_F(ServiceTest, XgccServerFlagRoundTrips) {
   EXPECT_NE(Locals[4].Out.find("baseline: 1 new"), std::string::npos);
   EXPECT_NE(Locals[5].Out.find("0 report(s)"), std::string::npos);
   EXPECT_NE(Locals[6].Out.find("\"rank\": 1"), std::string::npos);
+  EXPECT_EQ(Locals[7].Code, 0);
+  EXPECT_NE(Locals[7].Out.find("1 report(s)"), std::string::npos);
+  EXPECT_NE(Locals[7].Err.find("duplicate checker 'free_checker' ignored"),
+            std::string::npos);
 
   EXPECT_EQ(D.stop(), 0);
 }
