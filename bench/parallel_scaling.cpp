@@ -4,13 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures the sharded run mode (EngineOptions::Jobs): wall-clock speedup of
+// Measures root sharding (EngineOptions::Jobs): wall-clock speedup of
 // root-function analysis at 1/2/4/8 workers over a corpus of independent
 // root cones, while *strictly* verifying that every job count renders
-// byte-identical report output and identical merged work counters. The
-// determinism checks are hard failures at any worker count; the >= 2.5x
-// speedup gate at 4 workers is enforced only when the machine actually has
-// 4 hardware threads to give.
+// byte-identical report output and identical merged work counters. Each job
+// count's times are the medians of interleaved repetitions. The determinism
+// checks are hard failures at any worker count and in every repetition; the
+// >= 2.5x speedup gate at 4 workers is enforced only when the machine
+// actually has 4 hardware threads to give.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 #include "support/ThreadPool.h"
 
 #include <chrono>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -78,8 +80,8 @@ int main(int argc, char **argv) {
   OS << "==== Sharded-analysis scaling (EngineOptions::Jobs) ====\n";
   OS << "hardware threads: " << HW << "\n\n";
 
-  // Independent root cones: no callee shared between roots, so per-worker
-  // summary caches do exactly the serial run's work and even the counters
+  // Independent root cones: no callee shared between roots, so per-shard
+  // summary caches do exactly a one-shard run's work and even the counters
   // must agree across shardings.
   const unsigned Roots = Smoke ? 16 : 64, Diamonds = Smoke ? 6 : 12,
                  ChainDepth = Smoke ? 6 : 12;
@@ -90,26 +92,49 @@ int main(int argc, char **argv) {
   OS << "corpus: " << Roots << " roots, " << Lines << " lines, "
      << Roots / 2 << " seeded use-after-free\n\n";
 
-  RunResult Base = runAt(Source, 1);
-  OS.printf("jobs=1: parse %.3fs analyze %.3fs, %zu report(s)  [baseline]\n",
-            Base.ParseSecs, Base.AnalyzeSecs, Base.Reports);
+  // One run is too short for a stable ratio (a single slow spell of the
+  // machine moves it), so every job count runs once per round and its times
+  // are the medians over the rounds.
+  const unsigned Reps = 5;
+  const unsigned JobCounts[] = {1, 2, 4, 8};
+  const size_t NJ = std::size(JobCounts);
+  std::vector<std::vector<double>> ParseSecs(NJ), AnalyzeSecs(NJ);
+  std::vector<char> SameOutput(NJ, 1), SameStats(NJ, 1);
+  std::vector<size_t> ReportsAt(NJ, 0);
+  RunResult Base;
+  for (unsigned Rep = 0; Rep < Reps; ++Rep)
+    for (size_t K = 0; K < NJ; ++K) {
+      RunResult RR = runAt(Source, JobCounts[K]);
+      if (Rep == 0 && K == 0)
+        Base = RR;
+      ParseSecs[K].push_back(RR.ParseSecs);
+      AnalyzeSecs[K].push_back(RR.AnalyzeSecs);
+      SameOutput[K] &= RR.Rendered == Base.Rendered;
+      SameStats[K] &= RR.Stats == Base.Stats;
+      ReportsAt[K] = RR.Reports;
+    }
 
+  const double BaseSecs = median(AnalyzeSecs[0]);
   bool Ok = Base.Reports == Roots / 2;
   double SpeedupAt4 = 0;
-  for (unsigned Jobs : {2u, 4u, 8u}) {
-    RunResult RR = runAt(Source, Jobs);
-    double Speedup = RR.AnalyzeSecs > 0 ? Base.AnalyzeSecs / RR.AnalyzeSecs : 0;
-    bool SameOutput = RR.Rendered == Base.Rendered;
-    bool SameStats = RR.Stats == Base.Stats;
-    OS.printf("jobs=%u: parse %.3fs analyze %.3fs, %zu report(s), "
-              "speedup %.2fx, output %s, counters %s\n",
-              Jobs, RR.ParseSecs, RR.AnalyzeSecs, RR.Reports, Speedup,
-              SameOutput ? "identical" : "DIFFERS",
-              SameStats ? "identical" : "DIFFER");
-    Ok &= SameOutput && SameStats;
-    if (Jobs == 4)
+  for (size_t K = 0; K < NJ; ++K) {
+    double Secs = median(AnalyzeSecs[K]);
+    Ok &= SameOutput[K] && SameStats[K];
+    OS.printf("jobs=%u: parse %.3fs analyze %.3fs, %zu report(s)",
+              JobCounts[K], median(ParseSecs[K]), Secs, ReportsAt[K]);
+    if (K == 0) {
+      OS << (SameOutput[K] && SameStats[K] ? "  [baseline]\n"
+                                           : "  [baseline, DIFFERS]\n");
+      continue;
+    }
+    double Speedup = Secs > 0 ? BaseSecs / Secs : 0;
+    OS.printf(", speedup %.2fx, output %s, counters %s\n", Speedup,
+              SameOutput[K] ? "identical" : "DIFFERS",
+              SameStats[K] ? "identical" : "DIFFER");
+    if (JobCounts[K] == 4)
       SpeedupAt4 = Speedup;
   }
+  OS << "(median of " << Reps << " interleaved repetitions)\n";
 
   OS << '\n';
   if (Smoke) {
@@ -130,8 +155,7 @@ int main(int argc, char **argv) {
 
   BenchJson("parallel_scaling")
       .num("wall_ms", Timer.ms())
-      .num("stmts_per_s",
-           stmtsPerSec(Base.Stats.PointsVisited, Base.AnalyzeSecs))
+      .num("stmts_per_s", stmtsPerSec(Base.Stats.PointsVisited, BaseSecs))
       .num("speedup_at_4", SpeedupAt4)
       .engine(Base.Stats)
       .flag("ok", Ok)

@@ -59,13 +59,13 @@ int main() {
     errs() << "parse error\n";
     return 1;
   }
-  Tool.finalize();
-
-  PairInferenceChecker PI;
+  auto Owned = std::make_unique<PairInferenceChecker>();
+  PairInferenceChecker &PI = *Owned;
+  Tool.addChecker(std::move(Owned));
 
   // Pass 1: learn which functions travel together.
   PI.setMode(PairInferenceChecker::Mode::Learn);
-  Tool.runChecker(PI);
+  Tool.run();
 
   OS << "=== Learned pair statistics ===\n";
   for (const auto &[Opener, Closers] : PI.pairCounts()) {
@@ -85,7 +85,7 @@ int main() {
 
   // Pass 2: check the inferred rules; rank violations statistically.
   PI.setMode(PairInferenceChecker::Mode::Check);
-  Tool.runChecker(PI);
+  Tool.run();
 
   OS << "\n=== Violations (statistical ranking) ===\n";
   Tool.reports().print(OS, RankPolicy::Statistical);

@@ -560,6 +560,16 @@ private:
     }
     return uint8_t(Image[Pos++]);
   }
+  /// A byte holding an enumerator of \p EnumT, whose largest is \p Last. An
+  /// out-of-range byte fails the read rather than make an invalid value.
+  template <typename EnumT> EnumT enumByte(EnumT Last) {
+    uint8_t B = byte();
+    if (B > Last) {
+      Failed = true;
+      return EnumT(0);
+    }
+    return EnumT(B);
+  }
   uint64_t varint() {
     uint64_t V = 0;
     unsigned Shift = 0;
@@ -625,12 +635,10 @@ private:
     const Type *T = nullptr;
     switch (Type::TypeKind(Kind)) {
     case Type::TK_Builtin: {
-      uint8_t B = byte();
-      if (B > BuiltinType::LongDouble) {
-        Failed = true;
+      auto B = enumByte(BuiltinType::LongDouble);
+      if (Failed)
         return nullptr;
-      }
-      T = TC.builtin(BuiltinType::Builtin(B));
+      T = TC.builtin(B);
       break;
     }
     case Type::TK_Pointer:
@@ -700,7 +708,7 @@ private:
     Decls.push_back(nullptr);
     switch (Decl::DeclKind(Kind)) {
     case Decl::DK_Var: {
-      auto Storage = VarDecl::Storage(byte());
+      auto Storage = enumByte(VarDecl::FileStatic);
       const Type *Ty = readType();
       auto *VD = Ctx.create<VarDecl>(L, Name, Ty, Storage);
       Decls[Slot] = VD;
@@ -862,11 +870,11 @@ private:
         return Ctx.create<DeclRefExpr>(L, D, Ty);
       }
       case Stmt::SK_Unary: {
-        auto Op = UnaryOperator::Opcode(byte());
+        auto Op = enumByte(UnaryOperator::PostDec);
         return Ctx.create<UnaryOperator>(L, Op, readExpr(), Ty);
       }
       case Stmt::SK_Binary: {
-        auto Op = BinaryOperator::Opcode(byte());
+        auto Op = enumByte(BinaryOperator::Comma);
         const Expr *LHS = readExpr();
         const Expr *RHS = readExpr();
         return Ctx.create<BinaryOperator>(L, Op, LHS, RHS, Ty);
@@ -909,7 +917,7 @@ private:
         return Ctx.create<InitListExpr>(L, Ctx.allocateArray(Inits), Ty);
       }
       case Stmt::SK_Hole: {
-        auto HK = HoleExpr::HoleKind(byte());
+        auto HK = enumByte(HoleExpr::AnyFnCall);
         return Ctx.create<HoleExpr>(L, str(), HK, Ty);
       }
       default:

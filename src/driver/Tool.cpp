@@ -31,33 +31,18 @@ bool XgccTool::addSource(const std::string &Name, const std::string &Text) {
   return P.parseTranslationUnit();
 }
 
-bool XgccTool::addSourceFile(const std::string &Path) {
-  unsigned RawID = SM.addFile(Path);
-  if (!RawID) {
-    Diags.error(SourceLoc(), "cannot open source file '" + Path + "'");
-    return false;
-  }
-  std::string Text(SM.bufferText(RawID));
-  return addSource(Path, Text);
-}
-
 namespace {
-/// Effective worker count for an options struct: Jobs, with 0 meaning one
-/// per hardware thread.
-unsigned effectiveJobs(const EngineOptions &Opts) {
-  unsigned W = Opts.Jobs ? Opts.Jobs : ThreadPool::hardwareThreads();
-  return W ? W : 1;
+/// A worker pool size: \p Jobs, with 0 meaning one per hardware thread, and
+/// no more than \p Tasks (but at least one).
+unsigned poolSize(unsigned Jobs, size_t Tasks) {
+  return unsigned(std::clamp<size_t>(
+      Tasks, 1, Jobs ? Jobs : ThreadPool::hardwareThreads()));
 }
 } // namespace
 
 bool XgccTool::addSourceFiles(const std::vector<std::string> &Paths,
                               unsigned Jobs) {
   assert(!Finalized && "cannot add sources after finalize()");
-  // At most one worker per unit, the way the analysis clamps to roots.
-  unsigned W = Jobs ? Jobs : ThreadPool::hardwareThreads();
-  if (W > Paths.size())
-    W = Paths.empty() ? 1 : unsigned(Paths.size());
-
   // Per-TU pass-1 state. Diagnostics go to a private engine and are
   // replayed in input order at the end, so the stream the user sees does
   // not depend on worker interleaving.
@@ -77,9 +62,12 @@ bool XgccTool::addSourceFiles(const std::vector<std::string> &Paths,
   std::deque<TUState> TUs;
 
   // Fan out on the host's pool when one was lent (the daemon keeps a single
-  // pool resident across requests); otherwise build a private one.
+  // pool resident across requests); otherwise build a private one with at
+  // most one worker per unit.
   std::optional<ThreadPool> LocalPool;
-  ThreadPool &Pool = SharedPool ? *SharedPool : LocalPool.emplace(W);
+  ThreadPool &Pool =
+      SharedPool ? *SharedPool
+                 : LocalPool.emplace(poolSize(Jobs, Paths.size()));
 
   // Stage 1 (serial): register raw buffers in input order so file ids are
   // deterministic.
@@ -292,11 +280,6 @@ bool XgccTool::addBuiltinChecker(const std::string &Name) {
   return addChecker(std::move(C));
 }
 
-void XgccTool::accumulateEngineStats() {
-  if (Eng)
-    Accumulated.merge(Eng->metrics().snapshot());
-}
-
 XgccTool::RootRecord
 XgccTool::containAbortedRoot(Checker &C, const FunctionDecl *Root,
                              const EngineOptions &BaseOpts, Engine &Host,
@@ -349,86 +332,6 @@ void XgccTool::noteRootOutcome(Checker &C, const FunctionDecl *Root,
   else
     Accumulated.add("ladder.roots.degraded", 1);
   Accumulated.add("ladder.retries", Rec.Retries);
-}
-
-void XgccTool::runContainedSerial(Checker &C) {
-  Eng->beginChecker(C);
-  for (const FunctionDecl *Root : CG.roots()) {
-    RootOutcome O = Eng->analyzeRoot(C, Root);
-    if (!O.aborted())
-      continue;
-    MetricsSnapshot Extra;
-    RootRecord Rec =
-        containAbortedRoot(C, Root, Eng->options(), *Eng, Reports, Extra, O);
-    Accumulated.merge(Extra);
-    noteRootOutcome(C, Root, Rec);
-  }
-}
-
-void XgccTool::runSharded(Checker &C, const EngineOptions &Opts,
-                          unsigned Workers) {
-  const std::vector<const FunctionDecl *> &Roots = CG.roots();
-  const size_t NR = Roots.size();
-  if (Workers > NR)
-    Workers = unsigned(NR);
-
-  // One report buffer per root: replaying them in root order afterwards
-  // reproduces the exact add() sequence of a serial run, so dedup and
-  // ranking see the same history and the rendered output is byte-identical
-  // for every worker count.
-  std::vector<ReportManager> Buffers(NR);
-  std::vector<RootRecord> Records(NR);
-  std::vector<MetricsSnapshot> WorkerStats(Workers);
-  std::vector<MetricsSnapshot> LadderStats(Workers);
-  std::vector<Engine::AnnotationMap> WorkerAnnots(Workers);
-  {
-    std::optional<ThreadPool> LocalPool;
-    ThreadPool &Pool = SharedPool ? *SharedPool : LocalPool.emplace(Workers);
-    for (unsigned WI = 0; WI < Workers; ++WI) {
-      Pool.async([&, WI] {
-        const size_t Lo = NR * WI / Workers;
-        const size_t Hi = NR * (WI + 1) / Workers;
-        if (Lo == Hi)
-          return;
-        // Private arena, private engine: block/function summary caches,
-        // annotations and path budgets are all per worker. Workers share
-        // only the immutable AST, CFGs and call graph.
-        ASTContext::ParallelArenaScope Scope(Ctx);
-        Engine E(Ctx, SM, CG, Reports, Opts, Trace);
-        E.seedAnnotations(ShardedAnnotations);
-        E.beginChecker(C);
-        for (size_t I = Lo; I < Hi; ++I) {
-          E.setReports(Buffers[I]);
-          RootOutcome O = E.analyzeRoot(C, Roots[I]);
-          // Workers write disjoint Records/Buffers slots, so the ladder is
-          // as parallel as the analysis; outcomes are recorded after the
-          // barrier in root order.
-          if (O.aborted())
-            Records[I] = containAbortedRoot(C, Roots[I], Opts, E, Buffers[I],
-                                            LadderStats[WI], O);
-        }
-        WorkerStats[WI] = E.metrics().snapshot();
-        WorkerAnnots[WI] = E.annotations();
-      });
-    }
-    Pool.wait();
-  }
-  for (const MetricsSnapshot &S : WorkerStats)
-    Accumulated.merge(S);
-  for (const MetricsSnapshot &S : LadderStats)
-    Accumulated.merge(S);
-  for (const ReportManager &B : Buffers)
-    Reports.merge(B);
-  for (size_t I = 0; I < NR; ++I)
-    if (Records[I].Aborted)
-      noteRootOutcome(C, Roots[I], Records[I]);
-  // Merge worker annotations in shard order: shards are ascending root
-  // ranges, so overwrite-in-order reproduces the serial run's
-  // last-root-wins value for any key written by several roots.
-  for (Engine::AnnotationMap &WA : WorkerAnnots)
-    for (auto &[Node, KV] : WA)
-      for (auto &[Key, Value] : KV)
-        ShardedAnnotations[Node][Key] = Value;
 }
 
 namespace {
@@ -566,15 +469,10 @@ bool XgccTool::mixClosure(const FunctionDecl *Root, uint64_t &Hash,
   return true;
 }
 
-void XgccTool::runCachedChecker(Checker &C, const EngineOptions &Opts,
-                                unsigned CheckerIndex, uint64_t SuiteFp) {
+std::vector<XgccTool::RootProbe>
+XgccTool::probeRoots(const Checker &C, const EngineOptions &Opts,
+                     unsigned CheckerIndex, uint64_t SuiteFp) {
   const std::vector<const FunctionDecl *> &Roots = CG.roots();
-  const size_t NR = Roots.size();
-  // Every root of this checker seeds from the same pre-checker annotation
-  // state — the barrier semantics of the Workers == roots sharding
-  // configuration, which PR 1 proved byte-identical to a serial run.
-  const Engine::AnnotationMap Seed = ShardedAnnotations;
-
   uint64_t Base = fnv1a64("root-key-v1");
   Base = fnv1a64(uint64_t(kCacheFormatVersion), Base);
   Base = fnv1a64(engineConfigFingerprint(Opts), Base);
@@ -582,32 +480,29 @@ void XgccTool::runCachedChecker(Checker &C, const EngineOptions &Opts,
   Base = fnv1a64(C.fingerprint(), Base);
   Base = fnv1a64(uint64_t(CheckerIndex), Base);
 
-  std::vector<uint64_t> Keys(NR, 0);
-  std::vector<char> Cacheable(NR, 0), Hit(NR, 0);
-  std::vector<RootArtifact> CachedArts(NR);
-  std::vector<std::set<const FunctionDecl *>> Closures(NR);
-
-  // Probe phase (serial): derive each root's key and try the store.
-  for (size_t I = 0; I < NR; ++I) {
+  std::vector<RootProbe> Probes(Roots.size());
+  for (size_t I = 0; I < Roots.size(); ++I) {
+    RootProbe &P = Probes[I];
     uint64_t Key = Base;
-    if (!mixClosure(Roots[I], Key, Closures[I])) {
+    if (!mixClosure(Roots[I], Key, P.Closure)) {
       Cache->bump(kCacheSummaryMisses);
       continue;
     }
     bool SeedOK = true;
-    Key = fnv1a64(seedAnnotationHash(NodeIdx, Seed, Closures[I], SeedOK), Key);
+    Key = fnv1a64(seedAnnotationHash(NodeIdx, Annotations, P.Closure, SeedOK),
+                  Key);
     Key = fnv1a64(Roots[I]->name(), Key);
     if (!SeedOK) {
       Cache->bump(kCacheSummaryMisses);
       continue;
     }
-    Keys[I] = Key;
-    Cacheable[I] = 1;
+    P.Key = Key;
+    P.Cacheable = true;
     std::string Payload;
     if (!Cache->load(AnalysisCache::Kind::Summary, Key, Payload))
       continue;
     std::string Error;
-    if (!CachedArts[I].parse(Payload, &Error)) {
+    if (!P.Cached.parse(Payload, &Error)) {
       errs() << "xgcc: cache: dropping corrupt entry for root '"
              << Roots[I]->name() << "' (" << Error << ")\n";
       Cache->dropEntry(AnalysisCache::Kind::Summary, Key);
@@ -615,7 +510,7 @@ void XgccTool::runCachedChecker(Checker &C, const EngineOptions &Opts,
       continue;
     }
     bool Resolvable = true;
-    for (const RootArtifact::Annot &A : CachedArts[I].Annots)
+    for (const RootArtifact::Annot &A : P.Cached.Annots)
       if (!NodeIdx.nodeOf(A.Fn, A.Ordinal)) {
         Resolvable = false;
         break;
@@ -625,136 +520,165 @@ void XgccTool::runCachedChecker(Checker &C, const EngineOptions &Opts,
       Cache->bump(kCacheSummaryMisses);
       continue;
     }
-    Hit[I] = 1;
+    P.Hit = true;
   }
+  return Probes;
+}
 
-  // Analysis phase (parallel, --jobs wide): cold roots always; hit roots
-  // too under --cache-verify. One isolated engine per root.
+void XgccTool::buildArtifact(Engine &E, const ReportManager &Buffer,
+                             RootProbe &P) const {
+  RootArtifact &Art = P.Fresh;
+  Art.Reports = Buffer.reports();
+  Art.Rules = Buffer.rules();
+  for (const auto &[Node, KV] : E.annotations())
+    for (const auto &[Key, Value] : KV) {
+      auto SIt = Annotations.find(Node);
+      if (SIt != Annotations.end()) {
+        auto KIt = SIt->second.find(Key);
+        if (KIt != SIt->second.end() && KIt->second == Value)
+          continue; // Unchanged seed entry, not part of the delta.
+      }
+      NodeIndex::NodeId Id = NodeIdx.idOf(Node);
+      if (!Id.Fn)
+        return; // No stable identity to replay the annotation at.
+      Art.Annots.push_back({std::string(Id.Fn->name()), Id.Ordinal, Key,
+                            Value});
+    }
+  sortArtifactAnnots(Art.Annots);
+  std::vector<const FunctionDecl *> Sorted(P.Closure.begin(), P.Closure.end());
+  std::sort(Sorted.begin(), Sorted.end(),
+            [](const FunctionDecl *A, const FunctionDecl *B) {
+              return A->name() < B->name();
+            });
+  for (const FunctionDecl *Fn : Sorted)
+    if (FunctionSummaries *FS = E.functionSummary(Fn))
+      if (const CFG *G = CG.cfg(Fn))
+        Art.Digests.push_back(
+            {std::string(Fn->name()), functionSummaryDigest(*FS, *G)});
+  P.FreshOk = true;
+}
+
+bool XgccTool::replayCached(const Checker &C, const FunctionDecl *Root,
+                            RootProbe &P) {
+  if (!P.Hit)
+    return false;
+  if (CacheVerify) {
+    Cache->bump(kCacheVerifyChecks);
+    // Digests are excluded from the comparison: interning memo hits can
+    // legally skip Reached-set inserts, so digest bytes may differ across
+    // configurations that produce identical reports.
+    RootArtifact A = P.Cached;
+    RootArtifact B = P.Fresh;
+    A.Digests.clear();
+    B.Digests.clear();
+    if (A.serialize() != B.serialize()) {
+      errs() << "xgcc: cache: verify mismatch for root '" << Root->name()
+             << "' (checker '" << C.name() << "'); using fresh results\n";
+      Cache->bump(kCacheVerifyMismatch);
+      Cache->bump(kCacheSummaryMisses);
+      return false;
+    }
+  }
+  Cache->bump(kCacheSummaryHits);
+  ReportManager Replay;
+  Replay.restore(std::move(P.Cached.Reports), std::move(P.Cached.Rules));
+  Reports.merge(Replay);
+  for (const RootArtifact::Annot &A : P.Cached.Annots)
+    Annotations[NodeIdx.nodeOf(A.Fn, A.Ordinal)][A.Key] = A.Value;
+  return true;
+}
+
+void XgccTool::runShards(Checker &C, const EngineOptions &Opts,
+                         ThreadPool &Pool, unsigned CheckerIndex,
+                         uint64_t SuiteFp) {
+  const std::vector<const FunctionDecl *> &Roots = CG.roots();
+  const size_t NR = Roots.size();
+  std::vector<RootProbe> Probes;
+  if (Cache)
+    Probes = probeRoots(C, Opts, CheckerIndex, SuiteFp);
+
+  // The roots to analyze: every root, less the cache hits that
+  // --cache-verify does not recompute.
   std::vector<size_t> Live;
   for (size_t I = 0; I < NR; ++I)
-    if (!Hit[I] || CacheVerify)
+    if (!Cache || !Probes[I].Hit || CacheVerify)
       Live.push_back(I);
 
+  // Shards are contiguous runs of Live. An uncached run cuts min(jobs,
+  // roots) of them, so --jobs 1 is one shard. A cached run gives every root
+  // its own shard, so a root's result is a function of exactly what its
+  // summary key hashes (closure content, seed annotations, checker, engine
+  // config) and --jobs never reaches a key or a result.
+  struct Shard {
+    size_t Begin = 0, End = 0; ///< Range of Live.
+    MetricsSnapshot Stats;
+    Engine::AnnotationMap Annots;
+  };
+  const size_t NL = Live.size();
+  std::vector<Shard> Shards(Cache || !NL ? NL : poolSize(Opts.Jobs, NL));
+  // One report buffer per root: replaying them in root order reproduces the
+  // add() sequence of one engine walking every root, so dedup and ranking
+  // see the same history and the output is byte-identical at any shard
+  // count.
   std::vector<ReportManager> Buffers(NR);
   std::vector<RootRecord> Records(NR);
-  std::vector<MetricsSnapshot> RootStats(NR);
-  std::vector<Engine::AnnotationMap> RootAnnots(NR);
-  std::vector<RootArtifact> FreshArts(NR);
-  std::vector<char> FreshOk(NR, 0);
-  if (!Live.empty()) {
-    unsigned W = effectiveJobs(Opts);
-    if (W > Live.size())
-      W = unsigned(Live.size());
-    std::optional<ThreadPool> LocalPool;
-    ThreadPool &Pool = SharedPool ? *SharedPool : LocalPool.emplace(W);
-    for (size_t LI = 0; LI < Live.size(); ++LI) {
-      Pool.async([&, LI] {
+  for (size_t S = 0; S < Shards.size(); ++S) {
+    Shards[S].Begin = NL * S / Shards.size();
+    Shards[S].End = NL * (S + 1) / Shards.size();
+    Pool.async([&, S] {
+      Shard &Sh = Shards[S];
+      // Private arena, private engine: block/function summary caches,
+      // annotations and path budgets are all per shard. Shards share only
+      // the immutable AST, CFGs and call graph, and the pre-checker
+      // annotations, which change only in the merge below.
+      ASTContext::ParallelArenaScope Scope(Ctx);
+      Engine E(Ctx, SM, CG, Reports, Opts, Trace);
+      E.seedAnnotations(Annotations);
+      E.beginChecker(C);
+      for (size_t LI = Sh.Begin; LI < Sh.End; ++LI) {
         const size_t I = Live[LI];
-        ASTContext::ParallelArenaScope Scope(Ctx);
-        Engine E(Ctx, SM, CG, Reports, Opts, Trace);
-        E.seedAnnotations(Seed);
-        E.beginChecker(C);
         E.setReports(Buffers[I]);
         RootOutcome O = E.analyzeRoot(C, Roots[I]);
-        MetricsSnapshot Ladder;
+        // Shards write disjoint Records/Buffers slots, so the ladder is as
+        // parallel as the analysis; outcomes are noted in root order below.
+        // Aborted roots are never cached: their results depend on deadlines
+        // and budgets, not content.
         if (O.aborted())
-          Records[I] =
-              containAbortedRoot(C, Roots[I], Opts, E, Buffers[I], Ladder, O);
-        RootStats[I] = E.metrics().snapshot();
-        RootStats[I].merge(Ladder);
-        RootAnnots[I] = E.annotations();
-        // Build the storable artifact while the engine (and its function
-        // summaries) are still alive. Aborted roots are never cached: their
-        // results depend on deadlines and budgets, not content.
-        if (Records[I].Aborted || !Cacheable[I])
-          return;
-        RootArtifact &Art = FreshArts[I];
-        Art.Reports = Buffers[I].reports();
-        Art.Rules = Buffers[I].rules();
-        bool Mappable = true;
-        for (const auto &[Node, KV] : RootAnnots[I]) {
-          for (const auto &[Key, Value] : KV) {
-            auto SIt = Seed.find(Node);
-            if (SIt != Seed.end()) {
-              auto KIt = SIt->second.find(Key);
-              if (KIt != SIt->second.end() && KIt->second == Value)
-                continue; // Unchanged seed entry, not part of the delta.
-            }
-            NodeIndex::NodeId Id = NodeIdx.idOf(Node);
-            if (!Id.Fn) {
-              Mappable = false;
-              break;
-            }
-            Art.Annots.push_back({std::string(Id.Fn->name()), Id.Ordinal, Key,
-                                  Value});
-          }
-          if (!Mappable)
-            break;
-        }
-        if (!Mappable)
-          return;
-        sortArtifactAnnots(Art.Annots);
-        std::vector<const FunctionDecl *> Sorted(Closures[I].begin(),
-                                                 Closures[I].end());
-        std::sort(Sorted.begin(), Sorted.end(),
-                  [](const FunctionDecl *A, const FunctionDecl *B) {
-                    return A->name() < B->name();
-                  });
-        for (const FunctionDecl *Fn : Sorted)
-          if (FunctionSummaries *FS = E.functionSummary(Fn))
-            if (const CFG *G = CG.cfg(Fn))
-              Art.Digests.push_back(
-                  {std::string(Fn->name()), functionSummaryDigest(*FS, *G)});
-        FreshOk[I] = 1;
-      });
-    }
-    Pool.wait();
-  }
-
-  // Merge phase (serial, root order): exactly the sharded-run barrier.
-  for (const MetricsSnapshot &S : RootStats)
-    Accumulated.merge(S);
-  for (size_t I = 0; I < NR; ++I) {
-    bool UseCached = Hit[I];
-    if (Hit[I] && CacheVerify) {
-      Cache->bump(kCacheVerifyChecks);
-      // Digests are excluded from the comparison: interning memo hits can
-      // legally skip Reached-set inserts, so digest bytes may differ across
-      // configurations that produce identical reports.
-      RootArtifact A = CachedArts[I];
-      RootArtifact B = FreshArts[I];
-      A.Digests.clear();
-      B.Digests.clear();
-      if (A.serialize() != B.serialize()) {
-        errs() << "xgcc: cache: verify mismatch for root '"
-               << Roots[I]->name() << "' (checker '" << C.name()
-               << "'); using fresh results\n";
-        Cache->bump(kCacheVerifyMismatch);
-        Cache->bump(kCacheSummaryMisses);
-        UseCached = false;
+          Records[I] = containAbortedRoot(C, Roots[I], Opts, E, Buffers[I],
+                                          Sh.Stats, O);
+        else if (Cache && Probes[I].Cacheable)
+          buildArtifact(E, Buffers[I], Probes[I]);
       }
-    }
-    if (UseCached) {
-      Cache->bump(kCacheSummaryHits);
-      ReportManager Replay;
-      Replay.restore(std::move(CachedArts[I].Reports),
-                     std::move(CachedArts[I].Rules));
-      Reports.merge(Replay);
-      for (const RootArtifact::Annot &A : CachedArts[I].Annots)
-        ShardedAnnotations[NodeIdx.nodeOf(A.Fn, A.Ordinal)][A.Key] = A.Value;
+      Sh.Stats.merge(E.metrics().snapshot());
+      Sh.Annots = E.annotations();
+    });
+  }
+  Pool.wait();
+
+  // Merge in root order. A shard's annotations go in once its last root
+  // has: shards are ascending root ranges, so overwriting in shard order
+  // keeps the last-root-wins value of a key that several roots wrote. A
+  // replayed artifact brings its own annotations at its own root.
+  for (const Shard &Sh : Shards)
+    Accumulated.merge(Sh.Stats);
+  for (size_t I = 0, S = 0; I < NR; ++I) {
+    const bool ClosesShard = S < Shards.size() && Live[Shards[S].End - 1] == I;
+    if (Cache && replayCached(C, Roots[I], Probes[I])) {
+      S += ClosesShard;
       continue;
     }
     Reports.merge(Buffers[I]);
     if (Records[I].Aborted)
       noteRootOutcome(C, Roots[I], Records[I]);
-    for (const auto &[Node, KV] : RootAnnots[I])
-      for (const auto &[Key, Value] : KV)
-        ShardedAnnotations[Node][Key] = Value;
-    // Reached on a clean cold root, or on a verify mismatch (where the
-    // fresh artifact overwrites the stale entry).
-    if (FreshOk[I])
-      Cache->store(AnalysisCache::Kind::Summary, Keys[I],
-                   FreshArts[I].serialize());
+    if (ClosesShard)
+      for (auto &[Node, KV] : Shards[S++].Annots)
+        for (auto &[Key, Value] : KV)
+          Annotations[Node][Key] = Value;
+    // Set on a clean cold root, or on a verify mismatch (where the fresh
+    // artifact overwrites the stale entry).
+    if (Cache && Probes[I].FreshOk)
+      Cache->store(AnalysisCache::Kind::Summary, Probes[I].Key,
+                   Probes[I].Fresh.serialize());
   }
 }
 
@@ -766,85 +690,33 @@ void XgccTool::run(const EngineOptions &Opts) {
   TraceSpan RunSpan(Buf, "run");
   RunSpan.arg("checkers", std::to_string(Checkers.size()));
   RunSpan.arg("roots", std::to_string(CG.roots().size()));
+  // Composition state lives for one run: each checker's shards start from
+  // the annotations the checkers before it left.
+  Annotations.clear();
+  uint64_t SuiteFp = 0;
   if (Cache) {
-    // Cached mode: every root in an isolated per-root engine (the
-    // Workers == roots sharding configuration), so a root's result is a
-    // function of exactly what its summary key hashes — closure content,
-    // seed annotations, checker and engine config. --jobs only sizes the
-    // cold-root pool; it never reaches a key or a result.
-    accumulateEngineStats();
-    Eng.reset();
-    ShardedAnnotations.clear();
-    LastShardedOpts = Opts;
-    HasShardedState = true;
     if (!NodeIdxBuilt) {
       for (const FunctionDecl *Fn : CG.definedFunctions())
         NodeIdx.addFunction(Fn);
       NodeIdxBuilt = true;
     }
-    uint64_t SuiteFp = fnv1a64("suite-v1");
+    SuiteFp = fnv1a64("suite-v1");
     SuiteFp = fnv1a64(uint64_t(Checkers.size()), SuiteFp);
     for (const std::unique_ptr<Checker> &C : Checkers)
       SuiteFp = fnv1a64(C->fingerprint(), SuiteFp);
-    unsigned Index = 0;
-    for (std::unique_ptr<Checker> &C : Checkers) {
-      TraceSpan CkSpan(Buf, "checker");
-      CkSpan.arg("name", C->name());
-      runCachedChecker(*C, Opts, Index++, SuiteFp);
-    }
-    return;
   }
-  unsigned W = effectiveJobs(Opts);
-  if (W > 1 && CG.roots().size() > 1) {
-    // Sharded mode never reuses the serial engine; bank its counters. A
-    // run() starts from a fresh engine serially, so composition state
-    // resets here too.
-    accumulateEngineStats();
-    Eng.reset();
-    ShardedAnnotations.clear();
-    LastShardedOpts = Opts;
-    HasShardedState = true;
-    for (std::unique_ptr<Checker> &C : Checkers) {
-      TraceSpan CkSpan(Buf, "checker");
-      CkSpan.arg("name", C->name());
-      runSharded(*C, Opts, W);
-    }
-    return;
-  }
-  accumulateEngineStats();
-  Eng = std::make_unique<Engine>(Ctx, SM, CG, Reports, Opts, Trace);
+  // One pool for the whole run: the host's, or a private one no wider than
+  // the roots.
+  std::optional<ThreadPool> LocalPool;
+  ThreadPool &Pool = SharedPool ? *SharedPool
+                                : LocalPool.emplace(poolSize(
+                                      Opts.Jobs, CG.roots().size()));
+  unsigned Index = 0;
   for (std::unique_ptr<Checker> &C : Checkers) {
     TraceSpan CkSpan(Buf, "checker");
     CkSpan.arg("name", C->name());
-    runContainedSerial(*C);
+    runShards(*C, Opts, Pool, Index++, SuiteFp);
   }
-}
-
-void XgccTool::runChecker(Checker &C, const EngineOptions &Opts) {
-  finalize();
-  TraceBuffer *Buf = Trace ? Trace->openBuffer(0) : nullptr;
-  TraceSpan CkSpan(Buf, "checker");
-  CkSpan.arg("name", C.name());
-  unsigned W = effectiveJobs(Opts);
-  if (W > 1 && CG.roots().size() > 1) {
-    accumulateEngineStats();
-    Eng.reset();
-    // Mirror the serial engine-reuse rule: annotations persist across
-    // runChecker calls with matching options, reset otherwise.
-    if (!HasShardedState || !(LastShardedOpts == Opts))
-      ShardedAnnotations.clear();
-    LastShardedOpts = Opts;
-    HasShardedState = true;
-    runSharded(C, Opts, W);
-    return;
-  }
-  // Reuse the engine when the options match so AST annotations persist
-  // across composed checkers.
-  if (!Eng || !(Eng->options() == Opts)) {
-    accumulateEngineStats();
-    Eng = std::make_unique<Engine>(Ctx, SM, CG, Reports, Opts, Trace);
-  }
-  runContainedSerial(C);
 }
 
 EngineStats XgccTool::stats() const {
@@ -853,8 +725,6 @@ EngineStats XgccTool::stats() const {
 
 MetricsSnapshot XgccTool::metrics() const {
   MetricsSnapshot M = Accumulated;
-  if (Eng)
-    M.merge(Eng->metrics().snapshot());
   if (Cache) {
     if (OwnedCache) {
       M.merge(Cache->counters());

@@ -56,8 +56,6 @@ public:
   /// Preprocesses and parses \p Text as translation unit \p Name. Returns
   /// false when the parse reported errors.
   bool addSource(const std::string &Name, const std::string &Text);
-  /// Reads, preprocesses and parses a file from disk.
-  bool addSourceFile(const std::string &Path);
   /// Batch pass 1: preprocesses and parses \p Paths with \p Jobs worker
   /// threads (0 = one per hardware thread). Each translation unit gets a
   /// snapshot of the preprocessor's -D/-I state and a private parser/arena;
@@ -95,15 +93,15 @@ public:
   // Execution
   //===--------------------------------------------------------------------===//
 
-  /// Runs every added checker over the whole source base. With
-  /// Opts.Jobs != 1 the callgraph roots are sharded across per-worker
-  /// engines and the per-root report buffers are merged back in root order,
-  /// so the output is byte-identical to a serial run (see docs/INTERNALS.md
-  /// "Threading model").
+  /// Runs every added checker over the whole source base, in registration
+  /// order. For each checker the callgraph roots are cut into shards
+  /// (min(Opts.Jobs, roots) contiguous ranges; one root each in a cached
+  /// run), every shard is analyzed by a fresh engine on one pool, and the
+  /// per-root report buffers are merged back in root order, so the output
+  /// is byte-identical at any job count (see docs/INTERNALS.md "Threading
+  /// model"). Annotations a checker leaves seed the later checkers of the
+  /// same run.
   void run(const EngineOptions &Opts = EngineOptions());
-
-  /// Runs one checker without disturbing the added list.
-  void runChecker(Checker &C, const EngineOptions &Opts = EngineOptions());
 
   /// Keep-going mode (--keep-going): a translation unit that fails to parse
   /// is dropped with a diagnostic instead of being spliced in partially, and
@@ -111,11 +109,11 @@ public:
   void setKeepGoing(bool KG) { KeepGoing = KG; }
 
   /// Runs pass-1 and analysis fan-out on \p Pool instead of constructing a
-  /// private ThreadPool per phase. The pool's worker count is free to differ
-  /// from the request's --jobs: partitioning is derived from the options, so
-  /// report bytes never depend on who executes the shards (the PR 1
-  /// contract). Pass null to return to private pools. Not owned; must be
-  /// idle whenever this tool runs.
+  /// private ThreadPool per addSourceFiles() and run() call. The pool's
+  /// worker count is free to differ from the request's --jobs: shards are
+  /// derived from the options, so report bytes never depend on who executes
+  /// them. Pass null to return to private pools. Not owned; must be idle
+  /// whenever this tool runs.
   void setWorkerPool(ThreadPool *Pool) { SharedPool = Pool; }
 
   //===--------------------------------------------------------------------===//
@@ -125,10 +123,10 @@ public:
   /// Enables the on-disk incremental layer rooted at \p Dir: pass 1 loads
   /// unchanged TUs from the AST store instead of re-parsing, and run()
   /// replays unchanged (checker, root) results from the summary store
-  /// instead of re-analyzing. Cached runs analyze every cold root in an
-  /// isolated per-root engine (the Workers == roots sharding configuration),
-  /// so warm and cold reports are byte-identical at any --jobs count and
-  /// with state interning on or off.
+  /// instead of re-analyzing. A cached run gives every root it analyzes a
+  /// shard of its own, so a root's result depends only on what its summary
+  /// key hashes, and warm and cold reports are byte-identical at any --jobs
+  /// count and with state interning on or off.
   void setCacheDir(const std::string &Dir);
   /// Borrows an already-open cache owned by someone longer-lived (the xgccd
   /// server keeps one store resident across requests). Replay semantics are
@@ -153,9 +151,9 @@ public:
   //===--------------------------------------------------------------------===//
 
   ReportManager &reports() { return Reports; }
-  /// Work counters accumulated over every run()/runChecker() call on this
-  /// tool, including runs whose engine has since been replaced and sharded
-  /// runs whose worker engines are long gone. A legacy view over metrics().
+  /// Work counters accumulated over every run() call on this tool, summed
+  /// over the shard engines (long gone by then). A legacy view over
+  /// metrics().
   EngineStats stats() const;
   /// The full metrics snapshot (dotted names): everything stats() carries
   /// plus per-checker attribution and checker-registered custom counters.
@@ -168,7 +166,6 @@ public:
   /// outlive the runs it observes.
   void setTrace(TraceCollector *T) { Trace = T; }
   TraceCollector *trace() const { return Trace; }
-  Engine *engine() { return Eng.get(); }
   ASTContext &context() { return Ctx; }
   SourceManager &sourceManager() { return SM; }
   DiagnosticEngine &diags() { return Diags; }
@@ -177,14 +174,6 @@ public:
   const CallGraph &callGraph() const { return CG; }
 
 private:
-  /// Folds the live serial engine's counters into Accumulated (called
-  /// before the engine is replaced or a sharded run bypasses it).
-  void accumulateEngineStats();
-  /// Sharded run of one checker: block-partitions the callgraph roots over
-  /// \p Workers private engines, then merges per-root report buffers and
-  /// worker stats deterministically.
-  void runSharded(Checker &C, const EngineOptions &Opts, unsigned Workers);
-
   /// What fault containment did about one aborted root.
   struct RootRecord {
     bool Aborted = false;
@@ -194,9 +183,6 @@ private:
     unsigned Retries = 0; ///< Ladder stages attempted.
     std::string Reason;   ///< The triggering abort's reason.
   };
-  /// Serial run of one checker with the fault boundary and degradation
-  /// ladder around every root.
-  void runContainedSerial(Checker &C);
   /// Walks the degradation ladder for a root whose analysis aborted:
   /// sacrificial engines with progressively cheaper options write into
   /// \p Target (analyzeRoot flushes only on success, so a failed stage
@@ -213,11 +199,30 @@ private:
   void noteRootOutcome(Checker &C, const FunctionDecl *Root,
                        const RootRecord &Rec);
 
-  /// Cached-mode run of one checker: probes the summary store per root,
-  /// replays hits, analyzes misses in isolated per-root engines, merges in
-  /// root order and stores artifacts for clean, cacheable roots.
-  void runCachedChecker(Checker &C, const EngineOptions &Opts,
-                        unsigned CheckerIndex, uint64_t SuiteFp);
+  /// One root's dealings with the summary store in a cached run.
+  struct RootProbe {
+    uint64_t Key = 0;
+    bool Cacheable = false; ///< Key covers everything the root depends on.
+    bool Hit = false;       ///< Cached holds a resolvable stored artifact.
+    bool FreshOk = false;   ///< Fresh holds a storable artifact.
+    std::set<const FunctionDecl *> Closure;
+    RootArtifact Cached, Fresh;
+  };
+  /// Runs one checker: probe the summary store (cached runs), cut the roots
+  /// to analyze into shards, analyze each shard in a fresh engine on
+  /// \p Pool, merge in root order, and record fresh artifacts (cached runs).
+  void runShards(Checker &C, const EngineOptions &Opts, ThreadPool &Pool,
+                 unsigned CheckerIndex, uint64_t SuiteFp);
+  /// Derives every root's summary key and loads what the store holds.
+  std::vector<RootProbe> probeRoots(const Checker &C, const EngineOptions &Opts,
+                                    unsigned CheckerIndex, uint64_t SuiteFp);
+  /// Fills \p P.Fresh from the root \p E just analyzed into \p Buffer,
+  /// while the engine (and its function summaries) are still alive.
+  void buildArtifact(Engine &E, const ReportManager &Buffer,
+                     RootProbe &P) const;
+  /// Replays \p P's stored artifact into the results when it hit (and,
+  /// under --cache-verify, matches the fresh one); false otherwise.
+  bool replayCached(const Checker &C, const FunctionDecl *Root, RootProbe &P);
   /// Content hash of \p Fn: its name folded with its TU's token-stream
   /// hash, file id and path. False when the function did not come through
   /// a hashed pass-1 path (roots reaching it are then uncacheable).
@@ -237,18 +242,13 @@ private:
   CallGraph CG;
   ReportManager Reports;
   std::vector<std::unique_ptr<Checker>> Checkers;
-  std::unique_ptr<Engine> Eng;
-  /// Composition state carried across sharded checker runs: the merged
-  /// worker annotations, seeding the next checker's worker engines. Mirrors
-  /// the serial engine-reuse rule — reset whenever the options change.
-  Engine::AnnotationMap ShardedAnnotations;
-  EngineOptions LastShardedOpts;
-  bool HasShardedState = false;
-  /// Counters from retired engines and sharded workers; metrics() returns
-  /// this plus the live engine's snapshot.
+  /// Composition state within one run(): the annotations merged from the
+  /// checkers run so far, seeding the next checker's shard engines.
+  Engine::AnnotationMap Annotations;
+  /// Counters of every shard and ladder engine this tool has run.
   MetricsSnapshot Accumulated;
-  /// Optional trace collector, threaded into every engine (serial, worker,
-  /// and sacrificial-ladder) this tool builds. Not owned.
+  /// Optional trace collector, threaded into every engine (shard and
+  /// sacrificial-ladder) this tool builds. Not owned.
   TraceCollector *Trace = nullptr;
   bool Finalized = false;
   bool KeepGoing = false;
@@ -261,7 +261,8 @@ private:
   /// Counter values at setSharedCache time; metrics() reports the delta for
   /// borrowed caches so request manifests stay per-request.
   MetricsSnapshot CacheBaseline;
-  /// Fan-out pool on loan from the host (null = build private pools).
+  /// Fan-out pool on loan from the host (null = build a private pool per
+  /// addSourceFiles() and run() call).
   ThreadPool *SharedPool = nullptr;
   bool CacheVerify = false;
   uint64_t CacheMaxMB = 0;

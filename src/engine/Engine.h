@@ -128,10 +128,12 @@ struct EngineOptions {
   /// The reporting/robustness block (--stats/--stats-json/--trace-out/
   /// --profile/--deadline-ms/--fail-on).
   ReportingOptions Reporting;
-  /// Worker threads for root-function analysis and pass-1 parsing. 1 = the
-  /// classic serial engine; 0 = one per hardware thread. Each worker owns a
-  /// private Engine (caches, stats, report buffer); workers share only the
-  /// immutable AST/CFG/call graph. See docs/INTERNALS.md "Threading model".
+  /// Worker threads for root-function analysis and pass-1 parsing; 0 = one
+  /// per hardware thread. An uncached run cuts each checker's roots into
+  /// min(Jobs, roots) contiguous shards, so 1 is one shard; each shard owns
+  /// a private Engine (caches, stats, report buffers) and shards share only
+  /// the immutable AST/CFG/call graph. See docs/INTERNALS.md "Threading
+  /// model".
   unsigned Jobs = 1;
 
   friend bool operator==(const EngineOptions &,
@@ -236,12 +238,14 @@ public:
   Engine &operator=(const Engine &) = delete;
 
   /// Applies \p C to the whole source base: a top-down DFS from every
-  /// callgraph root (Section 6, step 3).
+  /// callgraph root (Section 6, step 3). XgccTool::run shards the roots
+  /// instead; a direct call keeps this engine, and its block summaries, for
+  /// introspection (Figure 5).
   void run(Checker &C);
 
   /// Prepares the engine for a fresh run of \p C (clears function summaries;
-  /// a new checker invalidates them). Sharded runs call this once per
-  /// worker-engine, then drive analyzeRoot per assigned root.
+  /// a new checker invalidates them). XgccTool::run calls this once per
+  /// shard engine, then drives analyzeRoot over the shard's roots.
   void beginChecker(Checker &C);
 
   /// Applies \p C starting from a single root. Acts as the fault boundary:
@@ -250,9 +254,9 @@ public:
   /// so an aborted root leaves the engine exactly as if it had been skipped.
   RootOutcome analyzeRoot(Checker &C, const FunctionDecl *Root);
 
-  /// Redirects reports produced from now on into \p R. Sharded runs point
-  /// each worker-engine at a private per-root buffer so the merge can replay
-  /// reports in the deterministic serial order.
+  /// Redirects reports produced from now on into \p R. Shard engines point
+  /// at a private per-root buffer so the merge can replay reports in root
+  /// order.
   void setReports(ReportManager &R) { Reports = &R; }
 
   /// Typed snapshot of the engine's well-known counters (by value — the
@@ -263,8 +267,6 @@ public:
   /// Snapshot it (metrics().snapshot()) to aggregate across engines.
   const MetricsRegistry &metrics() const { return Metrics; }
   void resetStats() { Metrics.reset(); }
-
-  const EngineOptions &options() const { return Opts; }
 
   /// Block summary of \p B for the last checker run (Figure 5 output).
   const BlockSummary *blockSummary(const FunctionDecl *Fn,
@@ -289,10 +291,10 @@ public:
   using AnnotationMap =
       std::map<const Stmt *, std::map<std::string, std::string>>;
   const AnnotationMap &annotations() const { return Annotations; }
-  /// Replaces the annotation store. Sharded runs harvest every worker's
-  /// annotations at the per-checker barrier and seed the next checker's
-  /// worker engines with the merged map, so composition (e.g. path_kill's
-  /// PATHKILL marks) survives engine-per-worker isolation.
+  /// Replaces the annotation store. XgccTool::run harvests every shard's
+  /// annotations at the per-checker barrier and seeds the next checker's
+  /// shard engines with the merged map, so composition (e.g. path_kill's
+  /// PATHKILL marks) survives engine-per-shard isolation.
   void seedAnnotations(AnnotationMap A) { Annotations = std::move(A); }
 
   /// Internal point descriptor (public so implementation helpers can name

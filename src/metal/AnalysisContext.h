@@ -38,12 +38,11 @@ struct PathSpecificEffect {
   int FalseValue = StateStop;
 };
 
-/// Everything a checker attaches to one report, gathered at one site. The
-/// builder replaces the positional reportError(...) overload sprawl: every
+/// Everything a checker attaches to one report, gathered at one site: every
 /// ranking input — grouping fact, statistical rule, severity override —
 /// lands on named fields with chaining setters, and the engine derives the
 /// stable fingerprint, witness journal and distance criteria from the same
-/// call. reportError() below is a thin shim over this.
+/// AnalysisContext::report() call.
 struct ReportBuilder {
   /// The human-readable violation message (required).
   std::string Message;
@@ -53,7 +52,7 @@ struct ReportBuilder {
   /// Groups errors computed from a common analysis fact (Section 9).
   std::string GroupKey;
   /// The statistical rule this violation counts against. Empty defaults to
-  /// GroupKey (the historical coupling the shim preserves).
+  /// GroupKey.
   std::string RuleKey;
   /// Severity override (SECURITY / ERROR / MINOR). Empty means "use the
   /// path annotation", i.e. whatever annotatePath() set.
@@ -127,17 +126,6 @@ public:
   /// witness journal, and the stable fingerprint here — one site, every
   /// surface.
   virtual void report(const ReportBuilder &B) = 0;
-
-  /// Legacy positional shim over report(). Prefer the builder for anything
-  /// beyond message + instance + group.
-  void reportError(std::string Message, const VarState *Instance,
-                   std::string GroupKey = std::string()) {
-    ReportBuilder B;
-    B.Message = std::move(Message);
-    B.Instance = Instance;
-    B.GroupKey = std::move(GroupKey);
-    report(B);
-  }
 
   /// Statistical ranking counters (Section 9): a successful check of rule
   /// \p RuleKey.

@@ -83,9 +83,9 @@ public:
   void clear();
 
   /// Folds \p O into this manager: replays every report through add() (so
-  /// dedup picks the same winners a serial run would have) and sums the rule
-  /// counters. Sharded runs merge per-worker buffers in root order, which
-  /// reproduces the serial add() sequence exactly.
+  /// dedup picks the same winners one engine walking every root would have)
+  /// and sums the rule counters. XgccTool::run merges per-root buffers in
+  /// root order, which reproduces that add() sequence exactly.
   void merge(const ReportManager &O);
 
   /// Rebuilds a buffer from deserialized state (the summary store's per-root

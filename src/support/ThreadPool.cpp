@@ -8,7 +8,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <thread>
 
 using namespace mc;
 
@@ -20,9 +23,22 @@ unsigned ThreadPool::hardwareThreads() {
 ThreadPool::ThreadPool(unsigned WorkerCount) {
   if (WorkerCount == 0)
     WorkerCount = hardwareThreads();
-  Workers.reserve(WorkerCount);
-  for (unsigned I = 0; I != WorkerCount; ++I)
-    Workers.emplace_back([this] { workerLoop(); });
+  pthread_attr_t Attr;
+  pthread_attr_init(&Attr);
+  pthread_attr_setstacksize(&Attr, kWorkerStackBytes);
+  Workers.resize(WorkerCount);
+  for (pthread_t &W : Workers)
+    if (pthread_create(&W, &Attr, &ThreadPool::workerMain, this) != 0) {
+      // What std::thread does without exceptions: there is no pool to run on.
+      std::fputs("fatal: cannot start a worker thread\n", stderr);
+      std::abort();
+    }
+  pthread_attr_destroy(&Attr);
+}
+
+void *ThreadPool::workerMain(void *Pool) {
+  static_cast<ThreadPool *>(Pool)->workerLoop();
+  return nullptr;
 }
 
 ThreadPool::~ThreadPool() {
@@ -31,8 +47,8 @@ ThreadPool::~ThreadPool() {
     Stop = true;
   }
   WorkAvailable.notify_all();
-  for (std::thread &W : Workers)
-    W.join();
+  for (pthread_t W : Workers)
+    pthread_join(W, nullptr);
 }
 
 void ThreadPool::async(std::function<void()> Task) {

@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed set of worker threads draining a task queue. The parallel run
-/// modes (sharded root-function analysis, batched pass-1 parsing) queue
-/// closures here; wait() is the merge barrier that makes their results safe
-/// to splice back into shared structures.
+/// A fixed set of worker threads draining a task queue. Root-shard analysis
+/// and batched pass-1 parsing queue closures here; wait() is the merge
+/// barrier that makes their results safe to splice back into shared
+/// structures. Workers run on stacks of a fixed size, so the analysis's depth
+/// budget does not depend on the job count or on RLIMIT_STACK.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,8 +21,9 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <thread>
 #include <vector>
+
+#include <pthread.h>
 
 namespace mc {
 
@@ -50,6 +52,13 @@ public:
 
   unsigned workerCount() const { return unsigned(Workers.size()); }
 
+  /// Stack size of every worker. The engine's path walk recurses once per
+  /// block across every frame up to EngineOptions::MaxPathLength; at the
+  /// default that takes a bit over 5 MiB in a Release build and 32-40 MiB
+  /// under ASan. std::thread would take glibc's default instead, which comes
+  /// from RLIMIT_STACK at startup and is only 2 MiB when that is unlimited.
+  static constexpr size_t kWorkerStackBytes = size_t(64) << 20;
+
   /// Runs Fn(0..N-1) across the pool and waits. Indices are claimed
   /// dynamically so uneven per-index costs balance.
   void parallelFor(size_t N, const std::function<void(size_t)> &Fn);
@@ -58,9 +67,10 @@ public:
   static unsigned hardwareThreads();
 
 private:
+  static void *workerMain(void *Pool);
   void workerLoop();
 
-  std::vector<std::thread> Workers;
+  std::vector<pthread_t> Workers;
   std::deque<std::function<void()>> Queue; ///< Guarded by Mu.
   mutable std::mutex Mu;
   std::condition_variable WorkAvailable; ///< Workers sleep here.

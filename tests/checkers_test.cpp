@@ -309,15 +309,16 @@ TEST(PairInference, LearnsLockUnlockAndFindsViolations) {
 
   auto Checker = std::make_unique<PairInferenceChecker>();
   PairInferenceChecker *PI = Checker.get();
+  T.addChecker(std::move(Checker));
   // Pass 1: learn.
   PI->setMode(PairInferenceChecker::Mode::Learn);
-  T.runChecker(*PI);
+  T.run();
   const auto &Rules = PI->inferRules(/*MinZ=*/1.0);
   ASSERT_TRUE(Rules.count("spin_lock"));
   EXPECT_EQ(Rules.at("spin_lock"), "spin_unlock");
   // Pass 2: check.
   PI->setMode(PairInferenceChecker::Mode::Check);
-  T.runChecker(*PI);
+  T.run();
   ASSERT_EQ(T.reports().size(), 1u);
   EXPECT_EQ(T.reports().reports()[0].FunctionName, "buggy");
   EXPECT_TRUE(T.reports().reports()[0].Message.find("missing spin_unlock") !=
@@ -339,8 +340,9 @@ TEST(PairInference, NoRuleForRandomPairs) {
   T.finalize();
   auto Checker = std::make_unique<PairInferenceChecker>();
   PairInferenceChecker *PI = Checker.get();
+  T.addChecker(std::move(Checker));
   PI->setMode(PairInferenceChecker::Mode::Learn);
-  T.runChecker(*PI);
+  T.run();
   EXPECT_TRUE(PI->inferRules(/*MinZ=*/1.0).empty());
 }
 

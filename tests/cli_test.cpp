@@ -16,6 +16,8 @@
 #include <cstdlib>
 #include <string>
 
+#include <sys/resource.h>
+
 #ifndef MC_XGCC_BINARY
 #define MC_XGCC_BINARY "xgcc"
 #endif
@@ -204,6 +206,29 @@ TEST(Cli, NoCacheDeepPathsFinishAtAnyJobs) {
       "--no-cache --checker free -I" + Corpus + " " + Corpus + "/queue.c";
   SplitRun One = runXgccSplit("--jobs 1 " + Args);
   SplitRun Four = runXgccSplit("--jobs 4 " + Args);
+  EXPECT_EQ(One.ExitCode, 0) << One.Err;
+  EXPECT_EQ(Four.ExitCode, 0) << Four.Err;
+  EXPECT_NE(One.Out.find("report(s)"), std::string::npos);
+  EXPECT_EQ(One.Out, Four.Out);
+}
+
+TEST(Cli, NoCacheDeepPathsFinishWithUnlimitedStack) {
+  // With RLIMIT_STACK unlimited, glibc's default thread stack is only 2 MiB;
+  // the walk runs on pool workers with a fixed stack at every --jobs count,
+  // so it finishes there too. The child inherits this process's limit.
+  rlimit Saved;
+  ASSERT_EQ(getrlimit(RLIMIT_STACK, &Saved), 0);
+  if (Saved.rlim_max != RLIM_INFINITY)
+    GTEST_SKIP() << "the hard stack limit forbids raising it to unlimited";
+  rlimit Unlimited = Saved;
+  Unlimited.rlim_cur = RLIM_INFINITY;
+  ASSERT_EQ(setrlimit(RLIMIT_STACK, &Unlimited), 0);
+  std::string Corpus = std::string(MC_SOURCE_DIR) + "/examples/corpus";
+  std::string Args =
+      "--no-cache --checker free -I" + Corpus + " " + Corpus + "/queue.c";
+  SplitRun One = runXgccSplit("--jobs 1 " + Args);
+  SplitRun Four = runXgccSplit("--jobs 4 " + Args);
+  ASSERT_EQ(setrlimit(RLIMIT_STACK, &Saved), 0);
   EXPECT_EQ(One.ExitCode, 0) << One.Err;
   EXPECT_EQ(Four.ExitCode, 0) << Four.Err;
   EXPECT_NE(One.Out.find("report(s)"), std::string::npos);

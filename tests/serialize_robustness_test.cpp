@@ -89,6 +89,65 @@ TEST(SerializeRobustness, ByteInsertionsAndDeletions) {
   SUCCEED();
 }
 
+/// Parses \p Source as one redirected TU and returns its writeMastTU image.
+std::string tuImage(const std::string &Source) {
+  SourceManager SM;
+  DiagnosticEngine Diags(SM);
+  ASTContext Ctx;
+  unsigned ID = SM.addBuffer("tu.c", Source);
+  std::vector<Decl *> TopLevel;
+  std::vector<FunctionDecl *> Fns;
+  Parser P(Ctx, SM, Diags, ID);
+  P.redirectTopLevel(TopLevel, Fns);
+  EXPECT_TRUE(P.parseTranslationUnit());
+  return writeMastTU(TopLevel, Fns, ID);
+}
+
+/// Reads \p Image back against a fresh context holding \p Source.
+bool readTuImage(const std::string &Source, const std::string &Image,
+                 std::string &Error) {
+  SourceManager SM;
+  ASTContext Ctx;
+  unsigned ID = SM.addBuffer("tu.c", Source);
+  std::vector<Decl *> TopLevel;
+  std::vector<FunctionDecl *> Fns;
+  Error.clear();
+  return readMastTU(Image, Ctx, ID, TopLevel, Fns, &Error);
+}
+
+TEST(SerializeRobustness, OutOfRangeEnumBytesFailTheRead) {
+  // Each pair of sources has the same length and differs in one enumerator,
+  // so their images differ in exactly that enum's byte. The byte set one
+  // past the enum's last enumerator must fail the read with an error (an
+  // AST-store entry like that is then a diagnosed miss).
+  struct Case {
+    const char *Source, *Sibling;
+    unsigned PastLast;
+  };
+  const Case Cases[] = {
+      {"static int g;", "extern int g;", VarDecl::FileStatic + 1},
+      {"int f(int x) { return -x; }", "int f(int x) { return ~x; }",
+       UnaryOperator::PostDec + 1},
+      {"int f(int x) { return x + x; }", "int f(int x) { return x - x; }",
+       BinaryOperator::Comma + 1},
+  };
+  for (const Case &C : Cases) {
+    std::string Image = tuImage(C.Source);
+    std::string Sibling = tuImage(C.Sibling);
+    ASSERT_EQ(Image.size(), Sibling.size()) << C.Source;
+    std::vector<size_t> Differ;
+    for (size_t I = 0; I < Image.size(); ++I)
+      if (Image[I] != Sibling[I])
+        Differ.push_back(I);
+    ASSERT_EQ(Differ.size(), 1u) << C.Source;
+    std::string Error;
+    ASSERT_TRUE(readTuImage(C.Source, Image, Error)) << Error;
+    Image[Differ[0]] = char(C.PastLast);
+    EXPECT_FALSE(readTuImage(C.Source, Image, Error)) << C.Source;
+    EXPECT_FALSE(Error.empty()) << C.Source;
+  }
+}
+
 TEST(SerializeRobustness, EmptyAndTinyInputs) {
   for (const char *Input : {"", "M", "MAST1", "MAST1\n", "MAST1\nx"}) {
     ASTContext Fresh;

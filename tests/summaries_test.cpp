@@ -25,10 +25,22 @@ std::string edgeStr(const SummaryEdge &E, const Checker &C,
   return tupleStr(E.From, Name, Var) + " --> " + tupleStr(E.To, Name, Var);
 }
 
+/// Runs the tool's one checker in an engine of its own over the tool's
+/// finalized context, and keeps that engine for its summaries: the shard
+/// engines of XgccTool::run are gone when it returns.
+std::unique_ptr<Engine> runForSummaries(XgccTool &T) {
+  T.finalize();
+  auto E = std::make_unique<Engine>(T.context(), T.sourceManager(),
+                                    T.callGraph(), T.reports());
+  E->run(*T.checkers()[0]);
+  return E;
+}
+
 /// Runs the free checker over Figure 2 and exposes the engine + CFGs.
 struct Fig5Lab {
   XgccTool Tool;
   Checker *FreeChecker = nullptr;
+  std::unique_ptr<Engine> Eng;
 
   Fig5Lab() {
     const char *Figure2 = R"c(
@@ -52,7 +64,7 @@ int contrived_caller(int *w, int x, int *p) {
 )c";
     EXPECT_TRUE(Tool.addSource("fig2.c", Figure2));
     EXPECT_TRUE(Tool.addBuiltinChecker("free"));
-    Tool.run(EngineOptions());
+    Eng = runForSummaries(Tool);
     FreeChecker = Tool.checkers()[0].get();
   }
 
@@ -65,7 +77,7 @@ int contrived_caller(int *w, int x, int *p) {
     std::set<std::string> Out;
     const CFG *G = Tool.callGraph().cfg(fn(Name));
     for (const auto &B : G->blocks()) {
-      const BlockSummary *Sum = Tool.engine()->blockSummary(fn(Name), B.get());
+      const BlockSummary *Sum = Eng->blockSummary(fn(Name), B.get());
       if (!Sum)
         continue;
       for (const SummaryEdge &E : Suffix ? Sum->SuffixEdges : Sum->Edges)
@@ -124,7 +136,7 @@ TEST(Figure5, FunctionSummaryTransportsParameters) {
   // parameters p and w — they are what the caller cares about.
   const CFG *G = L.Tool.callGraph().cfg(L.fn("contrived"));
   const BlockSummary *Entry =
-      L.Tool.engine()->blockSummary(L.fn("contrived"), G->entry());
+      L.Eng->blockSummary(L.fn("contrived"), G->entry());
   ASSERT_NE(Entry, nullptr);
   bool SawP = false, SawW = false;
   for (const SummaryEdge &E : Entry->SuffixEdges) {
@@ -139,7 +151,7 @@ TEST(Figure5, EntryCacheRecordsReachingTuples) {
   Fig5Lab L;
   const CFG *G = L.Tool.callGraph().cfg(L.fn("contrived"));
   const BlockSummary *Entry =
-      L.Tool.engine()->blockSummary(L.fn("contrived"), G->entry());
+      L.Eng->blockSummary(L.fn("contrived"), G->entry());
   ASSERT_NE(Entry, nullptr);
   // The caller enters contrived with p freed.
   bool Found = false;
@@ -153,10 +165,10 @@ TEST(Summaries, GlobalOnlyEdgesAlwaysRecorded) {
   XgccTool T;
   ASSERT_TRUE(T.addSource("t.c", "int f(int x) { return x; }"));
   ASSERT_TRUE(T.addBuiltinChecker("intr"));
-  T.run(EngineOptions());
+  std::unique_ptr<Engine> E = runForSummaries(T);
   const FunctionDecl *F = T.context().findFunction("f");
   const CFG *G = T.callGraph().cfg(F);
-  const BlockSummary *Entry = T.engine()->blockSummary(F, G->entry());
+  const BlockSummary *Entry = E->blockSummary(F, G->entry());
   ASSERT_NE(Entry, nullptr);
   bool SawGlobalEdge = false;
   for (const SummaryEdge &E : Entry->Edges)
@@ -172,11 +184,11 @@ TEST(Summaries, GlobalStateTransitionsSummarized) {
                                  "void irq_off(void) { cli(); }\n"
                                  "void top(void) { irq_off(); }"));
   ASSERT_TRUE(T.addBuiltinChecker("intr"));
-  T.run(EngineOptions());
+  std::unique_ptr<Engine> E = runForSummaries(T);
   Checker &C = *T.checkers()[0];
   const FunctionDecl *F = T.context().findFunction("irq_off");
   const CFG *G = T.callGraph().cfg(F);
-  const BlockSummary *Entry = T.engine()->blockSummary(F, G->entry());
+  const BlockSummary *Entry = E->blockSummary(F, G->entry());
   ASSERT_NE(Entry, nullptr);
   bool Found = false;
   for (const SummaryEdge &E : Entry->SuffixEdges)

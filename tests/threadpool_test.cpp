@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include <pthread.h>
+
 using namespace mc;
 
 TEST(ThreadPoolTest, RunsEveryTask) {
@@ -77,6 +79,43 @@ TEST(ThreadPoolTest, TasksRunOffTheCallingThread) {
   Pool.wait();
   EXPECT_EQ(Seen.count(Caller), 0u);
   EXPECT_GE(Seen.size(), 1u);
+}
+
+TEST(ThreadPoolTest, WorkersGetTheFixedStackSize) {
+  // A thread started without a stack size gets the process default, which
+  // glibc takes from RLIMIT_STACK at startup (2 MiB when it is unlimited).
+  // Shrink that default to 2 MiB here: the workers must not inherit it.
+  pthread_attr_t Default;
+  ASSERT_EQ(pthread_getattr_default_np(&Default), 0);
+  pthread_attr_t Small;
+  pthread_attr_init(&Small);
+  pthread_attr_setstacksize(&Small, size_t(2) << 20);
+  ASSERT_EQ(pthread_setattr_default_np(&Small), 0);
+  pthread_attr_destroy(&Small);
+
+  std::mutex Mu;
+  std::vector<size_t> Sizes;
+  {
+    ThreadPool Pool(2);
+    for (int I = 0; I < 8; ++I)
+      Pool.async([&] {
+        pthread_attr_t Attr;
+        size_t Size = 0;
+        if (pthread_getattr_np(pthread_self(), &Attr) == 0) {
+          pthread_attr_getstacksize(&Attr, &Size);
+          pthread_attr_destroy(&Attr);
+        }
+        std::lock_guard<std::mutex> Lock(Mu);
+        Sizes.push_back(Size);
+      });
+    Pool.wait();
+  }
+  EXPECT_EQ(pthread_setattr_default_np(&Default), 0);
+  pthread_attr_destroy(&Default);
+
+  ASSERT_EQ(Sizes.size(), 8u);
+  for (size_t Size : Sizes)
+    EXPECT_GE(Size, ThreadPool::kWorkerStackBytes);
 }
 
 TEST(ThreadPoolTest, HardwareThreadsIsPositive) {

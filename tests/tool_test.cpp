@@ -112,21 +112,6 @@ TEST(Tool, StatsExposed) {
   EXPECT_GT(T.stats().PathsExplored, 0u);
 }
 
-TEST(Tool, RunCheckerReusesEngineForComposition) {
-  XgccTool T;
-  ASSERT_TRUE(T.addSource("t.c", "void kfree(void *p); void panic(char *m);\n"
-                                 "int f(int *p) { kfree(p); panic(\"x\"); return *p; }"));
-  T.finalize();
-  SourceManager &SM = T.sourceManager();
-  auto PathKill = makeBuiltinChecker("path_kill", SM, T.diags());
-  auto Free = makeBuiltinChecker("free", SM, T.diags());
-  ASSERT_NE(PathKill, nullptr);
-  ASSERT_NE(Free, nullptr);
-  T.runChecker(*PathKill);
-  T.runChecker(*Free);
-  EXPECT_EQ(T.reports().size(), 0u); // path killed before the deref
-}
-
 TEST(Tool, ParseErrorsReported) {
   XgccTool T;
   EXPECT_FALSE(T.addSource("bad.c", "int f( {"));
@@ -135,7 +120,7 @@ TEST(Tool, ParseErrorsReported) {
 
 TEST(Tool, MissingFilesFailGracefully) {
   XgccTool T;
-  EXPECT_FALSE(T.addSourceFile("/no/such/file.c"));
+  EXPECT_FALSE(T.addSourceFiles({"/no/such/file.c"}));
   EXPECT_FALSE(T.addMastFile("/no/such/file.mast"));
 }
 
