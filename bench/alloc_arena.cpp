@@ -1,31 +1,23 @@
-//===- bench/alloc_arena.cpp - Arena + hash-consed state microbench ----------===//
+//===- bench/alloc_arena.cpp - Arena + flat state microbench ----------------===//
 //
 // Part of the metal/xgcc reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
-// Gate for the flat-state memory architecture. Two sections:
-//
-//  1. Representation microbench (the gate, >= 1.5x on the medians of five
-//     interleaved repetitions): replays the engine's
-//     tuple-churn loop — fork-copy the SMInstance, materialize its tuple
-//     set, probe/insert the block cache, build the exit-dedup key — against
-//     the historical string-keyed layout (std::string TreeKey/Data, tuples
-//     in a std::set ordered by string compares, serialized dedup keys) and
-//     against the current layout (interned symbols, arena-backed TupleSpan,
-//     hashed tuple set, hash-consed set ids).
-//
-//  2. Engine end-to-end: a state-heavy corpus (many tracked pointers live
-//     across many diamonds) run with state interning on vs off. Reports
-//     must be byte-identical — interning is a representation change, never
-//     a behavior change; wall clocks are reported as telemetry.
+// Gate for the flat-state memory architecture (>= 1.5x on the medians of
+// five interleaved repetitions): replays the engine's tuple-churn loop —
+// fork-copy the SMInstance, materialize its tuple set, probe/insert the
+// block cache, build the exit-dedup key — against the historical
+// string-keyed layout (std::string TreeKey/Data, tuples in a std::set
+// ordered by string compares, serialized dedup keys) and against the
+// current layout (interned symbols, arena-backed TupleSpan, hashed tuple
+// set, the engine's StateKey for dedup).
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
 #include "WorkloadGen.h"
-#include "driver/Tool.h"
-#include "engine/StateSetInterner.h"
+#include "metal/State.h"
 #include "support/Allocator.h"
 #include "support/RawOstream.h"
 
@@ -38,10 +30,6 @@ using namespace mc;
 using namespace mc::bench;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Section 1: representation microbench
-//===----------------------------------------------------------------------===//
 
 /// The pre-interning layout, reproduced verbatim: every key a heap string,
 /// ordering and equality by string compares.
@@ -109,11 +97,11 @@ size_t legacyRound(const std::vector<LegacyVarState> &SMI,
 
 /// The same round over the real flat layout: VarState fork is a flat copy,
 /// tuples land in a per-frame arena span, the cache is hashed, and the
-/// dedup key is a hash-consed set id.
+/// dedup key is the engine's StateKey.
 size_t internedRound(const SMInstance &SMI,
                      std::unordered_set<StateTuple, StateTupleHash> &Cache,
-                     StateSetInterner &SetIntern, std::set<uint64_t> &Dedup,
-                     BumpPtrAllocator &Arena, int Round) {
+                     StateKeySet &Dedup, BumpPtrAllocator &Arena,
+                     int Round) {
   BumpScope Scope(Arena);
   SMInstance Fork = SMI; // path split: memcpy of flat VarStates
   Fork.ActiveVars[Round % Fork.ActiveVars.size()].Value = 1 + Round % 3;
@@ -123,8 +111,7 @@ size_t internedRound(const SMInstance &SMI,
     Hits += Cache.count(T);
   for (const StateTuple &T : Tuples)
     Cache.insert(T);
-  Dedup.insert(uint64_t(SetIntern.id(Tuples)) << 32 | uint64_t(Round % 3));
-  return Hits + Dedup.size();
+  return Hits + Dedup.insert(Tuples);
 }
 
 struct MicroResult {
@@ -162,65 +149,16 @@ MicroResult runMicro(unsigned NumVars, unsigned Rounds) {
   }
   {
     std::unordered_set<StateTuple, StateTupleHash> Cache;
-    StateSetInterner SetIntern;
-    std::set<uint64_t> Dedup;
+    StateKeySet Dedup;
     BumpPtrAllocator Arena;
     BenchTimer T;
     for (unsigned I = 0; I < Rounds; ++I)
-      Acc += internedRound(FlatSMI, Cache, SetIntern, Dedup, Arena, int(I));
+      Acc += internedRound(FlatSMI, Cache, Dedup, Arena, int(I));
     R.InternedMs = T.ms();
   }
   // Keep the accumulated value observable so rounds cannot be folded away.
   volatile size_t Sink = Acc;
   (void)Sink;
-  return R;
-}
-
-//===----------------------------------------------------------------------===//
-// Section 2: engine end-to-end on a state-heavy corpus
-//===----------------------------------------------------------------------===//
-
-/// A corpus whose block entries carry many live tuples: each root frees
-/// \p Ptrs pointers, then walks \p Diamonds diamonds, then uses one freed
-/// pointer (one seeded report per root).
-std::string churnCorpus(unsigned Roots, unsigned Ptrs, unsigned Diamonds) {
-  std::string S = "void kfree(void *p);\n";
-  for (unsigned R = 0; R < Roots; ++R) {
-    std::string Tag = std::to_string(R);
-    S += "int root" + Tag + "(int c";
-    for (unsigned P = 0; P < Ptrs; ++P)
-      S += ", int *p" + std::to_string(P);
-    S += ") {\n  int acc = 0;\n";
-    for (unsigned P = 0; P < Ptrs; ++P)
-      S += "  kfree(p" + std::to_string(P) + ");\n";
-    for (unsigned D = 0; D < Diamonds; ++D)
-      S += "  if (c) { acc += " + std::to_string(D) +
-           "; } else { acc -= 1; }\n";
-    S += "  return acc + *p0;\n}\n";
-  }
-  return S;
-}
-
-struct EngineResult {
-  double WallMs = 0;
-  std::string ReportText;
-  EngineStats Stats;
-};
-
-EngineResult runEngine(const std::string &Source, bool Interning) {
-  EngineResult R;
-  BenchTimer T;
-  XgccTool Tool;
-  Tool.addSource("churn.c", Source);
-  Tool.addBuiltinChecker("free");
-  EngineOptions Opts;
-  Opts.EnableStateInterning = Interning;
-  Opts.EnableFalsePathPruning = false; // opaque conditions; keep paths alive
-  Tool.run(Opts);
-  R.WallMs = T.ms();
-  raw_string_ostream OS(R.ReportText);
-  Tool.reports().print(OS, RankPolicy::Generic);
-  R.Stats = Tool.stats();
   return R;
 }
 
@@ -234,7 +172,7 @@ int main(int argc, char **argv) {
   const unsigned NumVars = Smoke ? 8 : 24;
   const unsigned Rounds = Smoke ? 2000 : 20000;
 
-  OS << "==== Arena + hash-consed state: representation microbench ====\n";
+  OS << "==== Arena + flat state: representation microbench ====\n";
   // Warm once (interner population, allocator slabs), then measure. Each
   // side of the gate is the median of interleaved repetitions: one run
   // lasts a few milliseconds, so a single sample is at a neighbour's mercy.
@@ -251,32 +189,15 @@ int main(int argc, char **argv) {
             "%.2f ms (%.2fx)\n",
             NumVars, Rounds, Reps, Micro.LegacyMs, Micro.InternedMs,
             Micro.speedup());
-  bool Gate = Micro.speedup() >= 1.5;
-  OS << (Gate ? "gate: interned layout >= 1.5x on tuple churn\n"
-              : "GATE FAILED: speedup below 1.5x\n");
-  OS << '\n';
-
-  OS << "==== Engine end-to-end: state-heavy corpus, interning on/off ====\n";
-  std::string Source =
-      churnCorpus(Smoke ? 2 : 8, Smoke ? 6 : 12, Smoke ? 4 : 8);
-  EngineResult On = runEngine(Source, true);
-  EngineResult Off = runEngine(Source, false);
-  bool Parity = On.ReportText == Off.ReportText && !On.ReportText.empty();
-  OS.printf("interning on %.2f ms, off %.2f ms; reports %s\n", On.WallMs,
-            Off.WallMs, Parity ? "byte-identical" : "DIVERGED");
-  bool Ok = Gate && Parity;
+  bool Ok = Micro.speedup() >= 1.5;
+  OS << (Ok ? "gate: interned layout >= 1.5x on tuple churn\n"
+            : "GATE FAILED: speedup below 1.5x\n");
 
   BenchJson("alloc_arena")
       .num("wall_ms", Timer.ms())
-      .num("stmts_per_s",
-           stmtsPerSec(On.Stats.PointsVisited, On.WallMs / 1000.0))
       .num("micro_legacy_ms", Micro.LegacyMs)
       .num("micro_interned_ms", Micro.InternedMs)
       .num("micro_speedup", Micro.speedup())
-      .num("engine_on_ms", On.WallMs)
-      .num("engine_off_ms", Off.WallMs)
-      .flag("report_parity", Parity)
-      .engine(On.Stats)
       .flag("ok", Ok)
       .emit(OS);
 

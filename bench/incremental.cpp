@@ -7,9 +7,8 @@
 // The incremental-analysis acceptance gate: over a multi-file corpus of a
 // few hundred functions, a warm re-run after editing ONE function must be
 // at least 5x faster than the cold run (full mode; --smoke only
-// shape-checks), and every warm configuration — --jobs 1 and 8, state
-// interning on and off, all sharing one cache directory — must produce
-// byte-identical reports.
+// shape-checks), and every warm configuration — --jobs 1 and 8, sharing one
+// cache directory — must produce byte-identical reports.
 //
 //===----------------------------------------------------------------------===//
 
@@ -67,7 +66,7 @@ struct RunResult {
 };
 
 RunResult runOnce(const std::vector<std::string> &Paths,
-                  const std::string &StoreDir, unsigned Jobs, bool Interning) {
+                  const std::string &StoreDir, unsigned Jobs) {
   BenchTimer T;
   XgccTool Tool;
   if (!StoreDir.empty())
@@ -77,7 +76,6 @@ RunResult runOnce(const std::vector<std::string> &Paths,
   Tool.addBuiltinChecker("lock");
   EngineOptions Opts;
   Opts.Jobs = Jobs;
-  Opts.EnableStateInterning = Interning;
   Tool.run(Opts);
   Tool.finishCache();
   RunResult R;
@@ -120,28 +118,25 @@ int main(int argc, char **argv) {
   WriteCorpus(/*Edit=*/false);
 
   // Cold: empty store, everything misses and records.
-  RunResult Cold = runOnce(Paths, Store, /*Jobs=*/8, /*Interning=*/true);
+  RunResult Cold = runOnce(Paths, Store, /*Jobs=*/8);
   // Warm, unchanged corpus: everything replays.
-  RunResult Warm = runOnce(Paths, Store, 8, true);
+  RunResult Warm = runOnce(Paths, Store, 8);
   bool Identical = Warm.Reports == Cold.Reports;
   bool WarmHits = Warm.Metrics.value(kCacheSummaryHits) > 0 &&
                   Warm.Metrics.value(kCacheAstHits) > 0 &&
                   Warm.Metrics.value(kCacheSummaryMisses) == 0;
 
-  // Warm across the whole determinism matrix, one shared store.
+  // Warm at every job count, one shared store.
   bool MatrixOk = true;
   for (unsigned Jobs : {1u, 8u})
-    for (bool Interning : {true, false}) {
-      RunResult R = runOnce(Paths, Store, Jobs, Interning);
-      MatrixOk &= R.Reports == Cold.Reports;
-    }
+    MatrixOk &= runOnce(Paths, Store, Jobs).Reports == Cold.Reports;
 
   // The headline: edit one function, re-run warm, compare against a fresh
   // uncached run of the edited corpus (correctness) and the cold wall time
   // (speed). Only file 0 re-parses; only its roots re-analyze.
   WriteCorpus(/*Edit=*/true);
-  RunResult WarmEdit = runOnce(Paths, Store, 8, true);
-  RunResult RefEdit = runOnce(Paths, /*StoreDir=*/"", 8, true);
+  RunResult WarmEdit = runOnce(Paths, Store, 8);
+  RunResult RefEdit = runOnce(Paths, /*StoreDir=*/"", 8);
   bool EditOk = WarmEdit.Reports == RefEdit.Reports &&
                 WarmEdit.Metrics.value(kCacheSummaryHits) > 0;
   double Speedup = WarmEdit.WallMs > 0 ? Cold.WallMs / WarmEdit.WallMs : 0;
@@ -151,7 +146,7 @@ int main(int argc, char **argv) {
             Cold.WallMs, Warm.WallMs, WarmEdit.WallMs, Speedup);
   OS << "warm reports identical to cold: " << (Identical ? "yes" : "NO")
      << "\n";
-  OS << "jobs {1,8} x interning {on,off} identical: "
+  OS << "warm at jobs {1,8} identical: "
      << (MatrixOk ? "yes" : "NO") << "\n";
   OS << "post-edit warm identical to uncached reference: "
      << (EditOk ? "yes" : "NO") << "\n";

@@ -154,9 +154,7 @@ public:
 private:
   friend class ParallelArenaScope;
   static thread_local BumpPtrAllocator *ThreadArena;
-  BumpPtrAllocator &activeArena() {
-    return ThreadArena ? *ThreadArena : Arena;
-  }
+  BumpPtrAllocator &activeArena();
 
   BumpPtrAllocator Arena;
   TypeContext Types;

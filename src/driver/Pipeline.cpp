@@ -46,7 +46,6 @@ bool engineOptions(const RunRequest &Req, const RunHost &Host,
   Opts.EnableFunctionSummaries = K.FunctionSummaries;
   Opts.EnableFalsePathPruning = K.FalsePathPruning;
   Opts.EnableDispatchIndex = K.DispatchIndex;
-  Opts.EnableStateInterning = K.StateInterning;
   Opts.Interprocedural = K.Interprocedural;
   Opts.RootPathBudget = K.RootPathBudget;
   if (K.MaxActiveStates)

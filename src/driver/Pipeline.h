@@ -69,7 +69,6 @@ struct RunRequest {
     bool FunctionSummaries = true;
     bool FalsePathPruning = true;
     bool DispatchIndex = true;
-    bool StateInterning = true;
     bool Interprocedural = true;
     uint64_t RootDeadlineMs = 0;
     uint64_t RootPathBudget = 0;

@@ -337,10 +337,10 @@ void XgccTool::noteRootOutcome(Checker &C, const FunctionDecl *Root,
 namespace {
 
 /// Fingerprint of every EngineOptions field that can change report bytes.
-/// Jobs, EnableStateInterning, EnableDispatchIndex and the output-routing
-/// Reporting fields are deliberately absent: the determinism contract says
-/// none of them may change a report, so summary keys ignore them and a warm
-/// run replays correctly under any of those toggles.
+/// Jobs, EnableDispatchIndex and the output-routing Reporting fields are
+/// deliberately absent: the determinism contract says none of them may
+/// change a report, so summary keys ignore them and a warm run replays
+/// correctly under any of those toggles.
 uint64_t engineConfigFingerprint(const EngineOptions &O) {
   uint64_t H = fnv1a64("engine-config-v1");
   auto MixBool = [&H](bool B) { H = fnv1a64(uint64_t(B), H); };
@@ -564,14 +564,7 @@ bool XgccTool::replayCached(const Checker &C, const FunctionDecl *Root,
     return false;
   if (CacheVerify) {
     Cache->bump(kCacheVerifyChecks);
-    // Digests are excluded from the comparison: interning memo hits can
-    // legally skip Reached-set inserts, so digest bytes may differ across
-    // configurations that produce identical reports.
-    RootArtifact A = P.Cached;
-    RootArtifact B = P.Fresh;
-    A.Digests.clear();
-    B.Digests.clear();
-    if (A.serialize() != B.serialize()) {
+    if (P.Cached.serialize() != P.Fresh.serialize()) {
       errs() << "xgcc: cache: verify mismatch for root '" << Root->name()
              << "' (checker '" << C.name() << "'); using fresh results\n";
       Cache->bump(kCacheVerifyMismatch);

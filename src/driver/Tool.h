@@ -126,7 +126,7 @@ public:
   /// instead of re-analyzing. A cached run gives every root it analyzes a
   /// shard of its own, so a root's result depends only on what its summary
   /// key hashes, and warm and cold reports are byte-identical at any --jobs
-  /// count and with state interning on or off.
+  /// count.
   void setCacheDir(const std::string &Dir);
   /// Borrows an already-open cache owned by someone longer-lived (the xgccd
   /// server keeps one store resident across requests). Replay semantics are

@@ -24,9 +24,6 @@
 //   --no-dispatch-index  disable the compiled pattern-dispatch index (try
 //                        every transition at every statement, as the paper
 //                        describes it)
-//   --no-state-interning disable hash-consed checker-state sets (fall back
-//                        to serialized-string dedup keys; reports are
-//                        byte-identical either way)
 //   --no-summaries       disable function summaries
 //   --no-fpp             disable false path pruning
 //   --intraprocedural    do not follow calls
@@ -39,7 +36,7 @@
 //                        unchanged (checker, root) pairs replay their
 //                        recorded results (summary store). Keys hash content
 //                        only, so warm output is byte-identical to cold at
-//                        any --jobs and with interning on or off
+//                        any --jobs
 //   --cache-verify       debug: recompute every summary-store hit live and
 //                        compare; mismatches are diagnosed, counted, and
 //                        resolved in favour of the fresh result
@@ -207,8 +204,6 @@ int main(int Argc, char **Argv) {
       Req.Options.BlockCache = false;
     } else if (P.flag("--no-dispatch-index")) {
       Req.Options.DispatchIndex = false;
-    } else if (P.flag("--no-state-interning")) {
-      Req.Options.StateInterning = false;
     } else if (P.flag("--no-summaries")) {
       Req.Options.FunctionSummaries = false;
     } else if (P.flag("--no-fpp")) {

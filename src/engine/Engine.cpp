@@ -47,18 +47,6 @@ struct Engine::PathState {
   bool Killed = false;
 };
 
-namespace {
-/// Exit-state dedup keys for one function activation. With state interning
-/// on, an exit state's identity is (consed tuple-set id, annotation symbol)
-/// packed into one integer; with it off, the legacy serialized string. Both
-/// encode exactly the same equivalence, so the surviving exit-state list —
-/// and therefore every report byte — is identical either way.
-struct ExitKeySet {
-  std::set<uint64_t> Consed;
-  std::set<std::string> Legacy;
-};
-} // namespace
-
 /// Traversal context for one function activation.
 struct Engine::FrameCtx {
   const FunctionDecl *Fn = nullptr;
@@ -66,7 +54,8 @@ struct Engine::FrameCtx {
   FunctionSummaries *FS = nullptr;
   std::vector<BacktraceEntry> Backtrace;
   std::vector<PathState> *ExitStates = nullptr;
-  ExitKeySet *ExitKeys = nullptr;
+  /// Keys of the exit states kept so far (state plus path annotation).
+  StateKeySet *ExitKeys = nullptr;
   std::set<const FunctionDecl *> *CallStack = nullptr;
   /// The activation's false-path-pruning facts, shared by all of its paths:
   /// each fork opens a TrackerScope per branch.
@@ -193,23 +182,6 @@ void collectFileStatics(const Expr *E, std::vector<const VarDecl *> &Out) {
 bool isLocalTree(const Expr *E) {
   return referencesLocalDecl(
       E, [](const VarDecl *VD) { return VD->storage() == VarDecl::Local; });
-}
-
-/// Serialized identity of an exit state, for dedup (the legacy string key,
-/// used when state interning is off).
-std::string exitStateKey(const SMInstance &SMI, const std::string &Annotation) {
-  std::vector<StateTuple> Tuples = tuplesOf(SMI);
-  std::sort(Tuples.begin(), Tuples.end());
-  std::string Key = std::to_string(SMI.GState) + "|" + Annotation;
-  for (const StateTuple &T : Tuples) {
-    Key += ';';
-    Key += symbolText(T.TreeKey);
-    Key += ':';
-    Key += std::to_string(T.Value);
-    Key += ':';
-    Key += symbolText(T.Data);
-  }
-  return Key;
 }
 
 } // namespace
@@ -882,25 +854,12 @@ void Engine::traverseBlock(FrameCtx &Frame, const BasicBlock *B,
   TupleSpan Entry = tuplesOf(PS.SMI, RootArena);
 
   if (Opts.EnableBlockCache) {
-    bool AllCached = false;
-    uint32_t EntrySetId = 0;
-    if (Opts.EnableStateInterning) {
-      // Consed fast path: a set id seen before is already known to be fully
-      // contained in Reached (Reached only grows within a checker run, so
-      // positive answers stay true).
-      EntrySetId = SetIntern.id(Entry);
-      AllCached = Sum.HitSets.count(EntrySetId) != 0;
-    }
-    if (!AllCached) {
-      AllCached = true;
-      for (const StateTuple &T : Entry)
-        if (!Sum.Reached.count(T)) {
-          AllCached = false;
-          break;
-        }
-      if (AllCached && Opts.EnableStateInterning)
-        Sum.HitSets.insert(EntrySetId);
-    }
+    bool AllCached = true;
+    for (const StateTuple &T : Entry)
+      if (!Sum.Reached.count(T)) {
+        AllCached = false;
+        break;
+      }
     if (AllCached) {
       // The whole state has been explored from this block: abort the path
       // (cache_misses, Section 5.2), relaxing suffix summaries on the way.
@@ -1099,20 +1058,8 @@ void Engine::finishBlock(FrameCtx &Frame, const BasicBlock *B,
       Sum.addSuffixEdge(E);
     }
     relaxSuffixSummaries(Frame.Backtrace, *Frame.FS, KeepTree);
-    // Exit-state dedup: consed (set id, annotation symbol) when interning
-    // is on, the legacy serialized string otherwise — same equivalence, so
-    // the surviving exit-state list is identical either way.
-    bool Fresh;
-    if (Opts.EnableStateInterning) {
-      uint64_t Key = uint64_t(SetIntern.id(tuplesOf(PS.SMI, RootArena))) << 32 |
-                     symbolize(PS.PathAnnotation);
-      Fresh = Frame.ExitKeys->Consed.insert(Key).second;
-    } else {
-      Fresh = Frame.ExitKeys->Legacy
-                  .insert(exitStateKey(PS.SMI, PS.PathAnnotation))
-                  .second;
-    }
-    if (Fresh)
+    if (Frame.ExitKeys->insert(tuplesOf(PS.SMI, RootArena),
+                               PS.PathAnnotation))
       Frame.ExitStates->push_back(PS);
     NotePathEnd();
     return;
@@ -1519,8 +1466,7 @@ std::vector<SMInstance> Engine::replaySummary(const FunctionDecl *Callee,
     NumParts = std::max(NumParts, List.size());
 
   std::vector<SMInstance> Out;
-  std::set<std::string> LegacyDedup;
-  std::set<uint64_t> ConsedDedup;
+  StateKeySet Seen;
   for (int GExit : GlobalExits) {
     for (size_t Part = 0; Part != NumParts; ++Part) {
       SMInstance SMI;
@@ -1564,12 +1510,8 @@ std::vector<SMInstance> Engine::replaySummary(const FunctionDecl *Callee,
         VS.CreatedAt = nullptr;
         SMI.ActiveVars.push_back(std::move(VS));
       }
-      bool Fresh;
-      if (Opts.EnableStateInterning)
-        Fresh = ConsedDedup.insert(SetIntern.id(tuplesOf(SMI))).second;
-      else
-        Fresh = LegacyDedup.insert(exitStateKey(SMI, {})).second;
-      if (Fresh)
+      std::vector<StateTuple> Tuples = tuplesOf(SMI);
+      if (Seen.insert(TupleSpan{Tuples.data(), uint32_t(Tuples.size())}))
         Out.push_back(std::move(SMI));
     }
   }
@@ -1611,25 +1553,12 @@ void Engine::followCall(FrameCtx &Frame, const BasicBlock *B,
 
   if (Opts.EnableFunctionSummaries) {
     const auto &EntryTuples = CalleeFS.entryTuples(*CalleeCFG);
-    bool AllIn = false;
-    uint32_t RefSetId = 0;
-    std::vector<StateTuple> RefTuples = tuplesOf(Refined.SMI);
-    if (Opts.EnableStateInterning) {
-      // Consed fast path, mirroring the block cache: the entry Reached set
-      // only grows within a checker run, so a positive memo stays true.
-      RefSetId = SetIntern.id(RefTuples);
-      AllIn = CalleeFS.EntryHitSets.count(RefSetId) != 0;
-    }
-    if (!AllIn) {
-      AllIn = !EntryTuples.empty();
-      for (const StateTuple &T : RefTuples)
-        if (!EntryTuples.count(T)) {
-          AllIn = false;
-          break;
-        }
-      if (AllIn && Opts.EnableStateInterning)
-        CalleeFS.EntryHitSets.insert(RefSetId);
-    }
+    bool AllIn = !EntryTuples.empty();
+    for (const StateTuple &T : tuplesOf(Refined.SMI))
+      if (!EntryTuples.count(T)) {
+        AllIn = false;
+        break;
+      }
     if (AllIn || OnStack) {
       bump(Ctr.FunctionCacheHits);
       for (SMInstance &SMI : replaySummary(Callee, Refined.SMI, OnStack)) {
@@ -1735,7 +1664,7 @@ Engine::analyzeFunction(const FunctionDecl *Fn, PathState PS,
   const CFG *G = CG.cfg(Fn);
   assert(G && "analyzeFunction requires a CFG");
   std::vector<PathState> Exits;
-  ExitKeySet ExitKeys;
+  StateKeySet ExitKeys;
   FrameCtx Frame;
   Frame.Fn = Fn;
   Frame.G = G;
@@ -1912,8 +1841,6 @@ void Engine::beginChecker(Checker &C) {
   CellsChecker = nullptr;
   refreshCheckerCells(C);
   Summaries.clear();
-  // The summary memos hold consed set ids; ids and memos die together.
-  SetIntern.clear();
   // Drop the dispatch memo unconditionally, for the same address-reuse
   // reason.
   DispatchBlockMemo.clear();

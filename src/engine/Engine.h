@@ -19,7 +19,6 @@
 #define MC_ENGINE_ENGINE_H
 
 #include "cfg/CallGraph.h"
-#include "engine/StateSetInterner.h"
 #include "engine/Summaries.h"
 #include "fpp/ValueTracker.h"
 #include "metal/Checker.h"
@@ -101,11 +100,6 @@ struct EngineOptions {
   /// Compiled pattern-dispatch index + per-block applicable-transition memo
   /// (--no-dispatch-index falls back to trying every transition everywhere).
   bool EnableDispatchIndex = true;
-  /// Hash-consed state sets: block-cache subset tests, summary entryTuples
-  /// lookups and exit-state dedup memoize on canonical set ids instead of
-  /// walking tuple sets (--no-state-interning falls back to the per-tuple
-  /// walks and string dedup keys; report bytes are identical either way).
-  bool EnableStateInterning = true;
   /// Safety valves for cache-off configurations: a function analysis stops
   /// exploring after this many completed paths, and a single path aborts
   /// after this many blocks (without caching, loops never converge). The
@@ -408,9 +402,6 @@ private:
   /// Hashed: probed/erased by key only (analyzeFunction, replay, rollback);
   /// iteration never happens, so order cannot reach report bytes.
   std::unordered_map<const FunctionDecl *, FunctionSummaries> Summaries;
-  /// Hash-consed tuple-set ids for the summary memos (worker-private, like
-  /// Summaries; cleared together in beginChecker).
-  StateSetInterner SetIntern;
   /// Per-root bump arena for traversal transients (entry-tuple snapshots,
   /// backtrace spans). Frames take mark/rewind scopes so growth is bounded
   /// by the live DFS path; analyzeRoot records the telemetry and resets it

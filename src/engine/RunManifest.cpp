@@ -44,7 +44,6 @@ static void writeOptionsJson(raw_ostream &OS, const EngineOptions &O) {
   OS << "    \"synonyms\": " << O.EnableSynonyms << ",\n";
   OS << "    \"interprocedural\": " << O.Interprocedural << ",\n";
   OS << "    \"dispatch_index\": " << O.EnableDispatchIndex << ",\n";
-  OS << "    \"state_interning\": " << O.EnableStateInterning << ",\n";
   OS << "    \"max_paths_per_function\": " << O.MaxPathsPerFunction << ",\n";
   OS << "    \"max_path_length\": " << O.MaxPathLength << ",\n";
   OS << "    \"max_call_depth\": " << O.MaxCallDepth << ",\n";
@@ -190,8 +189,6 @@ bool readOptions(JsonReader &R, EngineOptions &O) {
       return R.readBool(O.Interprocedural);
     if (Key == "dispatch_index")
       return R.readBool(O.EnableDispatchIndex);
-    if (Key == "state_interning")
-      return R.readBool(O.EnableStateInterning);
     if (Key == "max_paths_per_function")
       return R.readUInt(O.MaxPathsPerFunction);
     if (Key == "max_path_length")

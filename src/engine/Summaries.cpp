@@ -70,7 +70,7 @@ void mc::relaxSuffixSummaries(const std::vector<BacktraceEntry> &Backtrace,
 }
 
 //===----------------------------------------------------------------------===//
-// Canonical text serialization (incremental cache cross-checks)
+// Summary digests (incremental cache cross-checks)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -95,32 +95,6 @@ void escapeTo(std::string_view S, std::string &Out) {
   }
 }
 
-bool unescape(std::string_view S, std::string &Out) {
-  Out.clear();
-  for (size_t I = 0; I != S.size(); ++I) {
-    if (S[I] != '\\') {
-      Out.push_back(S[I]);
-      continue;
-    }
-    if (++I == S.size())
-      return false;
-    switch (S[I]) {
-    case '\\':
-      Out.push_back('\\');
-      break;
-    case 't':
-      Out.push_back('\t');
-      break;
-    case 'n':
-      Out.push_back('\n');
-      break;
-    default:
-      return false;
-    }
-  }
-  return true;
-}
-
 void tupleTo(const StateTuple &T, std::string &Out) {
   Out += std::to_string(T.GState);
   Out.push_back('\t');
@@ -131,68 +105,8 @@ void tupleTo(const StateTuple &T, std::string &Out) {
   escapeTo(symbolText(T.Data), Out);
 }
 
-/// Splits one record line at unescaped tabs.
-std::vector<std::string_view> splitFields(std::string_view Line) {
-  std::vector<std::string_view> Fields;
-  size_t Start = 0;
-  bool Esc = false;
-  for (size_t I = 0; I != Line.size(); ++I) {
-    if (Esc) {
-      Esc = false;
-      continue;
-    }
-    if (Line[I] == '\\')
-      Esc = true;
-    else if (Line[I] == '\t') {
-      Fields.push_back(Line.substr(Start, I - Start));
-      Start = I + 1;
-    }
-  }
-  Fields.push_back(Line.substr(Start));
-  return Fields;
-}
-
-bool parseInt(std::string_view S, int &Out) {
-  if (S.empty())
-    return false;
-  bool Neg = S[0] == '-';
-  size_t I = Neg ? 1 : 0;
-  if (I == S.size())
-    return false;
-  long long V = 0;
-  for (; I != S.size(); ++I) {
-    if (S[I] < '0' || S[I] > '9')
-      return false;
-    V = V * 10 + (S[I] - '0');
-    if (V > 1ll << 40)
-      return false;
-  }
-  Out = int(Neg ? -V : V);
-  return true;
-}
-
-/// Reads the four tuple fields starting at \p Fields[At].
-bool parseTuple(const std::vector<std::string_view> &Fields, size_t At,
-                StateTuple &Out) {
-  if (At + 4 > Fields.size())
-    return false;
-  std::string Text;
-  if (!parseInt(Fields[At], Out.GState))
-    return false;
-  if (!unescape(Fields[At + 1], Text))
-    return false;
-  Out.TreeKey = symbolize(Text);
-  if (!parseInt(Fields[At + 2], Out.Value))
-    return false;
-  if (!unescape(Fields[At + 3], Text))
-    return false;
-  Out.Data = symbolize(Text);
-  return true;
-}
-
-} // namespace
-
-std::string mc::serializeFunctionSummary(FunctionSummaries &FS, const CFG &G) {
+/// The canonical text that functionSummaryDigest hashes.
+std::string serializeFunctionSummary(FunctionSummaries &FS, const CFG &G) {
   std::string Out = "mc-summary-v1\n";
   std::vector<StateTuple> Entry(FS.entryTuples(G).begin(),
                                 FS.entryTuples(G).end());
@@ -214,46 +128,7 @@ std::string mc::serializeFunctionSummary(FunctionSummaries &FS, const CFG &G) {
   return Out;
 }
 
-bool mc::parseFunctionSummary(std::string_view Text, FunctionSummaries &FS,
-                              const CFG &G, std::string *Err) {
-  auto Fail = [&](const char *Why) {
-    if (Err)
-      *Err = Why;
-    return false;
-  };
-  size_t Nl = Text.find('\n');
-  if (Nl == std::string_view::npos || Text.substr(0, Nl) != "mc-summary-v1")
-    return Fail("bad summary header");
-  Text.remove_prefix(Nl + 1);
-  BlockSummary &Entry = FS.of(G.entry());
-  while (!Text.empty()) {
-    Nl = Text.find('\n');
-    if (Nl == std::string_view::npos)
-      return Fail("unterminated summary record");
-    std::string_view Line = Text.substr(0, Nl);
-    Text.remove_prefix(Nl + 1);
-    std::vector<std::string_view> Fields = splitFields(Line);
-    if (Fields.empty())
-      return Fail("empty summary record");
-    if (Fields[0] == "entry") {
-      StateTuple T;
-      if (Fields.size() != 5 || !parseTuple(Fields, 1, T))
-        return Fail("malformed entry tuple");
-      Entry.Reached.insert(T);
-    } else if (Fields[0] == "edge") {
-      SummaryEdge E;
-      std::string Fact;
-      if (Fields.size() != 10 || !parseTuple(Fields, 1, E.From) ||
-          !parseTuple(Fields, 5, E.To) || !unescape(Fields[9], Fact))
-        return Fail("malformed suffix edge");
-      E.FactKey = symbolize(Fact);
-      Entry.SuffixEdges.insert(E);
-    } else {
-      return Fail("unknown summary record");
-    }
-  }
-  return true;
-}
+} // namespace
 
 uint64_t mc::functionSummaryDigest(FunctionSummaries &FS, const CFG &G) {
   return fnv1a64(serializeFunctionSummary(FS, G));

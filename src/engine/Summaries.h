@@ -13,13 +13,11 @@
 /// to the function exit); the entry block's suffix summary is the function
 /// summary replayed at interprocedural cache hits.
 ///
-/// Container discipline: `Reached` is membership-only, so it hashes;
-/// `Edges`/`SuffixEdges` stay ordered because their iteration order (tuple
-/// text order) reaches report bytes through replay and relax. The consed-id
-/// memos (`HitSets`, `EntryHitSets`) cache positive answers to "is every
-/// tuple of this set already in Reached?" — sound because Reached only
-/// grows within a checker run and a root abort discards whole
-/// FunctionSummaries, memos included.
+/// Container discipline: `Reached` is membership-only, so it hashes, and
+/// the engine asks "is every tuple of this state already in Reached?" by
+/// walking the state's tuples. `Edges`/`SuffixEdges` stay ordered because
+/// their iteration order (tuple text order) reaches report bytes through
+/// replay and relax.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,10 +79,6 @@ struct BlockSummary {
   /// ToTree lookup for replay (keyed by tree-key symbol). Write-mostly.
   std::unordered_map<uint32_t, const Expr *> Trees;
 
-  /// Consed set ids known to be fully contained in Reached (the block-cache
-  /// full-hit memo): one integer probe replaces the per-tuple subset walk.
-  std::unordered_set<uint32_t> HitSets;
-
   void addEdge(const SummaryEdge &E) {
     Edges.insert(E);
     if (E.ToTree)
@@ -123,10 +117,6 @@ public:
   /// Probe-only: hashed.
   std::unordered_map<uint32_t, bool> LocalKeys;
 
-  /// Consed set ids known to be contained in the entry block's Reached set
-  /// (the interprocedural cache-hit memo).
-  std::unordered_set<uint32_t> EntryHitSets;
-
 private:
   std::unordered_map<const BasicBlock *, BlockSummary> Blocks;
 };
@@ -148,28 +138,13 @@ void relaxSuffixSummaries(const std::vector<BacktraceEntry> &Backtrace,
                           FunctionSummaries &FS,
                           const std::function<bool(uint32_t)> &KeepTree);
 
-/// Canonical text rendering of the interprocedural content of \p FS for the
-/// function with CFG \p G: the entry block's Reached set (sorted by tuple
-/// text order) and its suffix edges (the function summary, already
-/// text-ordered). Every symbol is rendered as its *text*, never its id, so
-/// the output is byte-identical across interning schedules and across the
-/// `--no-state-interning` toggle — the incremental cache's `--cache-verify`
-/// cross-check and the summary digests depend on that.
-///
-/// ToTree pointers and the consed-id memos are deliberately absent: trees
-/// cannot be rematerialized outside their AST and the memos are
-/// rediscoverable. parseFunctionSummary therefore restores a summary good
-/// for digesting and equality checks, not for replay.
-std::string serializeFunctionSummary(FunctionSummaries &FS, const CFG &G);
-
-/// Parses a serializeFunctionSummary rendering back into \p FS (entry
-/// Reached set + suffix edges of \p G's entry block, ToTree left null).
-/// Returns false on malformed input; \p Err receives a reason.
-bool parseFunctionSummary(std::string_view Text, FunctionSummaries &FS,
-                          const CFG &G, std::string *Err);
-
-/// FNV-1a digest of serializeFunctionSummary — the summary-store
-/// cross-check fingerprint.
+/// FNV-1a digest of the interprocedural content of \p FS for the function
+/// with CFG \p G: the entry block's Reached set and its suffix edges (the
+/// function summary), rendered as text in tuple text order. Symbols enter as
+/// their text, never their ids, so the digest is the same whatever order
+/// symbols were interned in. ToTree pointers are left out: they name AST
+/// nodes of one process. The summary store records one digest per function
+/// a root's analysis materialized, and `--cache-verify` compares them.
 uint64_t functionSummaryDigest(FunctionSummaries &FS, const CFG &G);
 
 } // namespace mc

@@ -9,6 +9,9 @@
 #include "support/Allocator.h"
 #include "support/Interner.h"
 
+#include <algorithm>
+#include <tuple>
+
 using namespace mc;
 
 uint32_t mc::symbolize(std::string_view S) {
@@ -79,6 +82,31 @@ TupleSpan mc::tuplesOf(const SMInstance &SM, BumpPtrAllocator &Arena) {
     if (VS.live() && !VS.Inactive)
       Tuples[I++] = StateTuple{SM.GState, VS.TreeKey, VS.Value, VS.Data};
   return TupleSpan{Tuples, Live};
+}
+
+void StateKey::assign(TupleSpan State, std::string_view Annot) {
+  Tuples.assign(State.begin(), State.end());
+  // Flat fields: no symbol-table lookups, and a total order because symbol
+  // ids are canonical (equal text <=> equal id).
+  std::sort(Tuples.begin(), Tuples.end(),
+            [](const StateTuple &A, const StateTuple &B) {
+              return std::tie(A.GState, A.TreeKey, A.Value, A.Data) <
+                     std::tie(B.GState, B.TreeKey, B.Value, B.Data);
+            });
+  Annotation.assign(Annot);
+}
+
+size_t StateKeySet::Hash::operator()(const StateKey &K) const {
+  size_t H = std::hash<std::string>()(K.Annotation);
+  StateTupleHash TH;
+  for (const StateTuple &T : K.Tuples)
+    H = (H ^ TH(T)) * 0x100000001b3ull;
+  return H;
+}
+
+bool StateKeySet::insert(TupleSpan State, std::string_view Annotation) {
+  Probe.assign(State, Annotation);
+  return Keys.insert(Probe).second;
 }
 
 std::string mc::tupleStr(const StateTuple &T,

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 namespace mc {
@@ -193,6 +194,39 @@ std::vector<StateTuple> tuplesOf(const SMInstance &SM);
 /// As above, but the tuples live in \p Arena (freed wholesale with it):
 /// the block-traversal hot path uses this to avoid a heap vector per visit.
 TupleSpan tuplesOf(const SMInstance &SM, BumpPtrAllocator &Arena);
+
+/// The identity of a state for dedup (exit states, replayed summary
+/// partitions): its tuples as a multiset, so two equal tuples count twice,
+/// plus the text of the path annotation it carries. The tuples are sorted
+/// by their flat fields, a total order because symbols are canonical.
+struct StateKey {
+  std::vector<StateTuple> Tuples;
+  std::string Annotation;
+
+  /// Makes this the key of the state with tuples \p State (see tuplesOf)
+  /// on a path annotated \p Annot, reusing the storage it already has.
+  void assign(TupleSpan State, std::string_view Annot);
+
+  friend bool operator==(const StateKey &, const StateKey &) = default;
+};
+
+/// The keys of the states one dedup site has kept. Hashed and never
+/// iterated: dedup decides which states survive, never their order, so
+/// nothing about a key can reach report bytes.
+class StateKeySet {
+public:
+  /// Adds the key of the state with tuples \p State on a path annotated
+  /// \p Annotation. Returns false, without allocating, when an equal key is
+  /// already in the set.
+  bool insert(TupleSpan State, std::string_view Annotation = {});
+
+private:
+  struct Hash {
+    size_t operator()(const StateKey &K) const;
+  };
+  std::unordered_set<StateKey, Hash> Keys;
+  StateKey Probe; ///< Rebuilt in place by every insert.
+};
 
 /// Renders a tuple in the paper's notation, e.g. "(start, v:p->freed)".
 std::string tupleStr(const StateTuple &T,

@@ -111,7 +111,6 @@ void ServiceRequest::serialize(raw_ostream &OS) const {
      << ", \"function_summaries\": " << jsonBool(Options.FunctionSummaries)
      << ", \"false_path_pruning\": " << jsonBool(Options.FalsePathPruning)
      << ", \"dispatch_index\": " << jsonBool(Options.DispatchIndex)
-     << ", \"state_interning\": " << jsonBool(Options.StateInterning)
      << ", \"interprocedural\": " << jsonBool(Options.Interprocedural)
      << ", \"root_deadline_ms\": " << Options.RootDeadlineMs
      << ", \"root_path_budget\": " << Options.RootPathBudget
@@ -265,8 +264,6 @@ bool ServiceRequest::parse(std::string_view Line, std::string *Err) {
           return R.readBool(K.FalsePathPruning);
         if (O == "dispatch_index")
           return R.readBool(K.DispatchIndex);
-        if (O == "state_interning")
-          return R.readBool(K.StateInterning);
         if (O == "interprocedural")
           return R.readBool(K.Interprocedural);
         if (O == "root_deadline_ms")

@@ -21,8 +21,8 @@
 ///
 /// Keys hash content — token text, byte offsets, symbol text — never interned
 /// ids or pointers, so a warm run is byte-identical to a cold one at any
-/// `--jobs` count and with interning on or off (the determinism contract of
-/// PRs 1-6 extended across process boundaries).
+/// `--jobs` count: the determinism contract extended across process
+/// boundaries.
 ///
 /// Every cache file carries a versioned header with a payload checksum; any
 /// malformed, truncated or version-skewed entry degrades to a miss with a

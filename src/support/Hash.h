@@ -12,9 +12,9 @@
 /// format version.
 ///
 /// Hashes here are over *content* — symbol text, token text, byte offsets —
-/// never over pointers or interned ids, so a key computed under
-/// `--no-state-interning` or a different `--jobs` count is byte-identical to
-/// one computed in the default configuration.
+/// never over pointers or interned ids, so a key computed at a different
+/// `--jobs` count is byte-identical to one computed in the default
+/// configuration.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -405,7 +405,7 @@ TEST(Cli, BadFailOnValueRejected) {
 }
 
 TEST(Cli, BadRankAndFormatValuesRejected) {
-  std::string Src = writeTemp("cli_rank.c", BuggySource);
+  std::string Src = writeTemp("cli_bad_rank.c", BuggySource);
   RunResult Rank = runXgcc("--checker free --rank bogus " + Src);
   EXPECT_EQ(Rank.ExitCode, 2);
   EXPECT_NE(Rank.Output.find("xgcc: unknown rank mode 'bogus'"),

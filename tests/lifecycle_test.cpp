@@ -107,7 +107,7 @@ TEST(Fingerprint, SurvivesLineDeletionAndUnrelatedEdits) {
   EXPECT_EQ(freeFingerprints(Before), freeFingerprints(EditedHelper));
 }
 
-TEST(Fingerprint, StableAcrossJobsAndInterning) {
+TEST(Fingerprint, StableAcrossJobs) {
   // Several buggy roots so a parallel run actually shards.
   std::string S = "void kfree(void *p);\n";
   for (int I = 0; I != 6; ++I) {
@@ -126,15 +126,6 @@ TEST(Fingerprint, StableAcrossJobsAndInterning) {
   EngineOptions Par;
   Par.Jobs = 8;
   EXPECT_EQ(freeFingerprints(S, Par), Ref);
-
-  EngineOptions NoIntern;
-  NoIntern.EnableStateInterning = false;
-  EXPECT_EQ(freeFingerprints(S, NoIntern), Ref);
-
-  EngineOptions Both;
-  Both.Jobs = 8;
-  Both.EnableStateInterning = false;
-  EXPECT_EQ(freeFingerprints(S, Both), Ref);
 }
 
 TEST(Fingerprint, ChangesWhenWitnessShapeChanges) {

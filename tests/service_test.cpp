@@ -161,13 +161,13 @@ TEST(ServiceProtocol, RequestWireBytesArePinned) {
       "\"keep_going\": true, \"baseline\": \"base\\tdir\", "
       "\"suppress_known\": true, \"options\": {\"block_cache\": false, "
       "\"function_summaries\": true, \"false_path_pruning\": true, "
-      "\"dispatch_index\": true, \"state_interning\": true, "
-      "\"interprocedural\": false, \"root_deadline_ms\": 250, "
-      "\"root_path_budget\": 1000, \"max_active_states\": 77, "
+      "\"dispatch_index\": true, \"interprocedural\": false, "
+      "\"root_deadline_ms\": 250, \"root_path_budget\": 1000, "
+      "\"max_active_states\": 77, "
       "\"fail_on\": \"degraded\"}, \"inject\": {\"slow_ms\": 10, \"die\": "
       "false, \"poison_checker\": true}}";
   EXPECT_EQ(R.serializeToString(), Pinned);
-  EXPECT_EQ(R.fingerprint(), 0xf201dce1e5e71b70ULL);
+  EXPECT_EQ(R.fingerprint(), 0x13aa516a93e1979eULL);
   ServiceRequest Parsed;
   std::string Err;
   ASSERT_TRUE(Parsed.parse(Pinned, &Err)) << Err;
@@ -184,6 +184,17 @@ TEST(ServiceProtocol, UnknownKeysSkipForForwardCompat) {
   EXPECT_EQ(R.Id, "f");
   ASSERT_EQ(R.Files.size(), 1u);
   EXPECT_EQ(R.Files[0], "x.c");
+
+  // An option this version no longer reads, as an older client may still
+  // send it, skips too and leaves every option at its default.
+  ServiceRequest Old;
+  ASSERT_TRUE(Old.parse("{\"schema\": \"mc.service-request.v1\", "
+                        "\"id\": \"g\", \"files\": [\"x.c\"], "
+                        "\"options\": {\"state_interning\": false}}",
+                        &Err))
+      << Err;
+  EXPECT_EQ(Old.Id, "g");
+  EXPECT_EQ(Old.Options, RunRequest::EngineKnobs());
 }
 
 //===----------------------------------------------------------------------===//

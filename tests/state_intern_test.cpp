@@ -8,11 +8,10 @@
 //
 //  - the global symbol table round-trips text and compares in text order,
 //    whatever order symbols were interned in;
-//  - StateSetInterner assigns one id per tuple *multiset*, insensitive to
-//    element order;
-//  - EngineOptions::EnableStateInterning is a pure representation switch —
-//    rendered reports are byte-identical across job counts, across repeat
-//    runs (with their different interning orders), and across on/off.
+//  - StateKey, the engine's one dedup key, identifies a tuple *multiset*
+//    plus a path annotation, insensitive to element order;
+//  - rendered reports are byte-identical across job counts and across
+//    repeat runs (with their different symbol interning orders).
 //
 // Lives in the parallel suite: symbol interning is the one piece of shared
 // mutable state on the analysis hot path, so TSan must see these runs.
@@ -20,7 +19,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Tool.h"
-#include "engine/StateSetInterner.h"
 #include "metal/State.h"
 #include "support/RawOstream.h"
 
@@ -73,20 +71,40 @@ TEST(SymbolTable, TupleOrderingMatchesStringOrdering) {
   EXPECT_LT(Placeholder, T1); // "" sorts first
 }
 
-TEST(StateSetInterner, SameMultisetSameId) {
-  StateSetInterner SI;
+TupleSpan spanOf(const std::vector<StateTuple> &Tuples) {
+  return TupleSpan{Tuples.data(), uint32_t(Tuples.size())};
+}
+
+StateKey keyOf(const std::vector<StateTuple> &Tuples,
+               std::string_view Annotation = {}) {
+  StateKey K;
+  K.assign(spanOf(Tuples), Annotation);
+  return K;
+}
+
+TEST(StateKey, SameMultisetSameKey) {
   StateTuple A{1, symbolize("state_intern_test.x"), 2, 0};
   StateTuple B{1, symbolize("state_intern_test.y"), 3, 0};
-  std::vector<StateTuple> AB{A, B}, BA{B, A};
-  EXPECT_EQ(SI.id(AB), SI.id(BA));
-  EXPECT_EQ(SI.size(), 1u);
-  std::vector<StateTuple> AA{A, A};
-  EXPECT_NE(SI.id(AA), SI.id(AB)); // multiset, not set
-  std::vector<StateTuple> JustA{A};
-  EXPECT_NE(SI.id(JustA), SI.id(AA));
-  EXPECT_EQ(SI.size(), 3u);
-  SI.clear();
-  EXPECT_EQ(SI.size(), 0u);
+  std::vector<StateTuple> AB{A, B}, BA{B, A}, AA{A, A}, JustA{A};
+  EXPECT_EQ(keyOf(AB), keyOf(BA));
+  EXPECT_NE(keyOf(AA), keyOf(AB)); // multiset, not set
+  EXPECT_NE(keyOf(JustA), keyOf(AA));
+  // The same tuples on paths with different annotations are different
+  // exit states.
+  EXPECT_NE(keyOf(AB, "ERROR"), keyOf(AB));
+  EXPECT_NE(keyOf(AB, "ERROR"), keyOf(AB, "SECURITY"));
+  EXPECT_EQ(keyOf(AB, "ERROR"), keyOf(BA, "ERROR"));
+
+  // The set agrees with the key: one entry per (multiset, annotation).
+  StateKeySet Seen;
+  EXPECT_TRUE(Seen.insert(spanOf(AB)));
+  EXPECT_FALSE(Seen.insert(spanOf(BA)));
+  EXPECT_TRUE(Seen.insert(spanOf(AA)));
+  EXPECT_TRUE(Seen.insert(spanOf(JustA)));
+  EXPECT_FALSE(Seen.insert(spanOf(JustA)));
+  EXPECT_TRUE(Seen.insert(spanOf(BA), "ERROR"));
+  EXPECT_FALSE(Seen.insert(spanOf(AB), "ERROR"));
+  EXPECT_TRUE(Seen.insert(spanOf(AB), "SECURITY"));
 }
 
 //===----------------------------------------------------------------------===//
@@ -107,14 +125,13 @@ std::string makeTU(unsigned Tag) {
   return S;
 }
 
-std::string runRendered(unsigned Jobs, bool Interning) {
+std::string runRendered(unsigned Jobs) {
   XgccTool Tool;
   for (unsigned I = 0; I < 4; ++I)
     EXPECT_TRUE(Tool.addSource("s" + std::to_string(I) + ".c", makeTU(I)));
   EXPECT_TRUE(Tool.addBuiltinChecker("free"));
   EngineOptions Opts;
   Opts.Jobs = Jobs;
-  Opts.EnableStateInterning = Interning;
   Tool.run(Opts);
   std::string Rendered;
   raw_string_ostream OS(Rendered);
@@ -124,26 +141,17 @@ std::string runRendered(unsigned Jobs, bool Interning) {
 }
 
 TEST(StateInterning, ReportsIdenticalAcrossJobCounts) {
-  std::string Serial = runRendered(1, true);
-  EXPECT_EQ(Serial, runRendered(4, true));
-  EXPECT_EQ(Serial, runRendered(8, true));
-}
-
-TEST(StateInterning, ReportsIdenticalWithInterningOff) {
-  // The flag switches dedup keys between consed set ids and serialized
-  // strings; both encode the same equivalence, so output cannot move.
-  std::string On = runRendered(1, true);
-  EXPECT_EQ(On, runRendered(1, false));
-  EXPECT_EQ(On, runRendered(4, false));
-  EXPECT_EQ(On, runRendered(8, false));
+  std::string Serial = runRendered(1);
+  EXPECT_EQ(Serial, runRendered(4));
+  EXPECT_EQ(Serial, runRendered(8));
 }
 
 TEST(StateInterning, ReportsIdenticalAcrossRepeatRuns) {
   // A second run sees a symbol table already populated by the first (and by
   // every other test): interning order differs, text order — and therefore
   // report bytes — must not.
-  std::string First = runRendered(4, true);
-  EXPECT_EQ(First, runRendered(4, true));
+  std::string First = runRendered(4);
+  EXPECT_EQ(First, runRendered(4));
 }
 
 } // namespace
