@@ -62,8 +62,7 @@ int main(int argc, char **argv) {
   Checker &C = *Tool.checkers()[0];
   // An engine of our own, not XgccTool::run: the figure is read out of the
   // engine's block summaries after the run, and run() drops its engines.
-  Engine Eng(Tool.context(), Tool.sourceManager(), Tool.callGraph(),
-             Tool.reports());
+  Engine Eng(Tool.context(), Tool.sourceManager(), Tool.callGraph());
   Eng.run(C);
 
   bool SuffixMentionsQ = false, SuffixEndsInStop = false;

@@ -120,7 +120,7 @@ bool XgccTool::addSourceFiles(const std::vector<std::string> &Paths,
         continue;
       std::string Error;
       if (!readMastTU(Image, Ctx, TU.FileID, TU.TopLevel, TU.Fns, &Error)) {
-        errs() << "xgcc: cache: dropping corrupt entry for '" << TU.Path
+        DiagOS << "xgcc: cache: dropping corrupt entry for '" << TU.Path
                << "' (" << Error << ")\n";
         Cache->dropEntry(AnalysisCache::Kind::Ast, TU.TokenHash);
         Cache->bump(kCacheAstMisses);
@@ -282,28 +282,27 @@ bool XgccTool::addBuiltinChecker(const std::string &Name) {
 
 XgccTool::RootRecord
 XgccTool::containAbortedRoot(Checker &C, const FunctionDecl *Root,
-                             const EngineOptions &BaseOpts, Engine &Host,
-                             ReportManager &Target, MetricsSnapshot &ExtraStats,
-                             const RootOutcome &First) {
+                             const EngineOptions &BaseOpts,
+                             MetricsSnapshot &ExtraStats,
+                             RootOutcome &Outcome) {
   RootRecord Rec;
   Rec.Aborted = true;
-  Rec.Reason = First.Reason;
+  Rec.Reason = Outcome.Reason;
   // A checker fault is a checker bug, not a cost problem: a cheaper retry
   // would re-execute the same fault. Quarantine immediately.
-  if (First.Kind == RootAbortKind::CheckerFault) {
+  if (Outcome.Kind == RootAbortKind::CheckerFault) {
     Rec.Quarantined = true;
     Rec.Fault = true;
     return Rec;
   }
   for (unsigned Stage = 1; Stage <= kDegradationStages; ++Stage) {
-    Engine Sac(Ctx, SM, CG, Target, degradedOptions(BaseOpts, Stage), Trace);
-    Sac.seedAnnotations(Host.annotations());
-    Sac.beginChecker(C);
+    Engine Sac(Ctx, SM, CG, degradedOptions(BaseOpts, Stage), Trace);
+    Sac.beginChecker(C, &Annotations);
     RootOutcome O = Sac.analyzeRoot(C, Root);
     ExtraStats.merge(Sac.metrics().snapshot());
     ++Rec.Retries;
     if (!O.aborted()) {
-      Host.seedAnnotations(Sac.annotations());
+      Outcome = std::move(O);
       Rec.Stage = Stage;
       return Rec;
     }
@@ -364,8 +363,7 @@ uint64_t engineConfigFingerprint(const EngineOptions &O) {
 /// key, value) tuple whose node lies inside \p Closure, sorted so the hash
 /// is independent of AnnotationMap's pointer iteration order. Sets \p OK
 /// false when an annotated node has no stable identity.
-uint64_t seedAnnotationHash(const NodeIndex &Idx,
-                            const Engine::AnnotationMap &Seed,
+uint64_t seedAnnotationHash(const NodeIndex &Idx, const AnnotationMap &Seed,
                             const std::set<const FunctionDecl *> &Closure,
                             bool &OK) {
   std::vector<std::tuple<std::string_view, uint32_t, const std::string *,
@@ -503,7 +501,7 @@ XgccTool::probeRoots(const Checker &C, const EngineOptions &Opts,
       continue;
     std::string Error;
     if (!P.Cached.parse(Payload, &Error)) {
-      errs() << "xgcc: cache: dropping corrupt entry for root '"
+      DiagOS << "xgcc: cache: dropping corrupt entry for root '"
              << Roots[I]->name() << "' (" << Error << ")\n";
       Cache->dropEntry(AnalysisCache::Kind::Summary, Key);
       Cache->bump(kCacheSummaryMisses);
@@ -525,12 +523,12 @@ XgccTool::probeRoots(const Checker &C, const EngineOptions &Opts,
   return Probes;
 }
 
-void XgccTool::buildArtifact(Engine &E, const ReportManager &Buffer,
+void XgccTool::buildArtifact(Engine &E, const RootOutcome &O,
                              RootProbe &P) const {
   RootArtifact &Art = P.Fresh;
-  Art.Reports = Buffer.reports();
-  Art.Rules = Buffer.rules();
-  for (const auto &[Node, KV] : E.annotations())
+  Art.Reports = O.Reports.reports();
+  Art.Rules = O.Reports.rules();
+  for (const auto &[Node, KV] : O.Annotations)
     for (const auto &[Key, Value] : KV) {
       auto SIt = Annotations.find(Node);
       if (SIt != Annotations.end()) {
@@ -565,7 +563,7 @@ bool XgccTool::replayCached(const Checker &C, const FunctionDecl *Root,
   if (CacheVerify) {
     Cache->bump(kCacheVerifyChecks);
     if (P.Cached.serialize() != P.Fresh.serialize()) {
-      errs() << "xgcc: cache: verify mismatch for root '" << Root->name()
+      DiagOS << "xgcc: cache: verify mismatch for root '" << Root->name()
              << "' (checker '" << C.name() << "'); using fresh results\n";
       Cache->bump(kCacheVerifyMismatch);
       Cache->bump(kCacheSummaryMisses);
@@ -605,68 +603,59 @@ void XgccTool::runShards(Checker &C, const EngineOptions &Opts,
   struct Shard {
     size_t Begin = 0, End = 0; ///< Range of Live.
     MetricsSnapshot Stats;
-    Engine::AnnotationMap Annots;
   };
   const size_t NL = Live.size();
   std::vector<Shard> Shards(Cache || !NL ? NL : poolSize(Opts.Jobs, NL));
-  // One report buffer per root: replaying them in root order reproduces the
-  // add() sequence of one engine walking every root, so dedup and ranking
-  // see the same history and the output is byte-identical at any shard
-  // count.
-  std::vector<ReportManager> Buffers(NR);
+  // One outcome per root: replaying their reports in root order reproduces
+  // the add() sequence of one engine walking every root, so dedup and
+  // ranking see the same history and the output is byte-identical at any
+  // shard count.
+  std::vector<RootOutcome> Outcomes(NR);
   std::vector<RootRecord> Records(NR);
   for (size_t S = 0; S < Shards.size(); ++S) {
     Shards[S].Begin = NL * S / Shards.size();
     Shards[S].End = NL * (S + 1) / Shards.size();
     Pool.async([&, S] {
       Shard &Sh = Shards[S];
-      // Private arena, private engine: block/function summary caches,
-      // annotations and path budgets are all per shard. Shards share only
-      // the immutable AST, CFGs and call graph, and the pre-checker
-      // annotations, which change only in the merge below.
+      // Private arena, private engine: block/function summary caches and
+      // path budgets are per shard. Shards share only the immutable AST,
+      // CFGs and call graph, and the earlier checkers' annotations, which
+      // change only in the merge below.
       ASTContext::ParallelArenaScope Scope(Ctx);
-      Engine E(Ctx, SM, CG, Reports, Opts, Trace);
-      E.seedAnnotations(Annotations);
-      E.beginChecker(C);
+      Engine E(Ctx, SM, CG, Opts, Trace);
+      E.beginChecker(C, &Annotations);
       for (size_t LI = Sh.Begin; LI < Sh.End; ++LI) {
         const size_t I = Live[LI];
-        E.setReports(Buffers[I]);
-        RootOutcome O = E.analyzeRoot(C, Roots[I]);
-        // Shards write disjoint Records/Buffers slots, so the ladder is as
+        Outcomes[I] = E.analyzeRoot(C, Roots[I]);
+        // Shards write disjoint Outcomes/Records slots, so the ladder is as
         // parallel as the analysis; outcomes are noted in root order below.
         // Aborted roots are never cached: their results depend on deadlines
         // and budgets, not content.
-        if (O.aborted())
-          Records[I] = containAbortedRoot(C, Roots[I], Opts, E, Buffers[I],
-                                          Sh.Stats, O);
+        if (Outcomes[I].aborted())
+          Records[I] =
+              containAbortedRoot(C, Roots[I], Opts, Sh.Stats, Outcomes[I]);
         else if (Cache && Probes[I].Cacheable)
-          buildArtifact(E, Buffers[I], Probes[I]);
+          buildArtifact(E, Outcomes[I], Probes[I]);
       }
       Sh.Stats.merge(E.metrics().snapshot());
-      Sh.Annots = E.annotations();
     });
   }
   Pool.wait();
 
-  // Merge in root order. A shard's annotations go in once its last root
-  // has: shards are ascending root ranges, so overwriting in shard order
-  // keeps the last-root-wins value of a key that several roots wrote. A
-  // replayed artifact brings its own annotations at its own root.
+  // Merge in root order: reports, incidents and annotations, where a later
+  // root's write to a key overwrites an earlier root's. A replayed artifact
+  // brings its own at its own root.
   for (const Shard &Sh : Shards)
     Accumulated.merge(Sh.Stats);
-  for (size_t I = 0, S = 0; I < NR; ++I) {
-    const bool ClosesShard = S < Shards.size() && Live[Shards[S].End - 1] == I;
-    if (Cache && replayCached(C, Roots[I], Probes[I])) {
-      S += ClosesShard;
+  for (size_t I = 0; I < NR; ++I) {
+    if (Cache && replayCached(C, Roots[I], Probes[I]))
       continue;
-    }
-    Reports.merge(Buffers[I]);
+    Reports.merge(Outcomes[I].Reports);
     if (Records[I].Aborted)
       noteRootOutcome(C, Roots[I], Records[I]);
-    if (ClosesShard)
-      for (auto &[Node, KV] : Shards[S++].Annots)
-        for (auto &[Key, Value] : KV)
-          Annotations[Node][Key] = Value;
+    for (auto &[Node, KV] : Outcomes[I].Annotations)
+      for (auto &[Key, Value] : KV)
+        Annotations[Node][Key] = Value;
     // Set on a clean cold root, or on a verify mismatch (where the fresh
     // artifact overwrites the stale entry).
     if (Cache && Probes[I].FreshOk)

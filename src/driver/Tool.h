@@ -97,8 +97,8 @@ public:
   /// order. For each checker the callgraph roots are cut into shards
   /// (min(Opts.Jobs, roots) contiguous ranges; one root each in a cached
   /// run), every shard is analyzed by a fresh engine on one pool, and the
-  /// per-root report buffers are merged back in root order, so the output
-  /// is byte-identical at any job count (see docs/INTERNALS.md "Threading
+  /// per-root outcomes are merged back in root order, so the output is
+  /// byte-identical at any job count (see docs/INTERNALS.md "Threading
   /// model"). Annotations a checker leaves seed the later checkers of the
   /// same run.
   void run(const EngineOptions &Opts = EngineOptions());
@@ -183,17 +183,15 @@ private:
     unsigned Retries = 0; ///< Ladder stages attempted.
     std::string Reason;   ///< The triggering abort's reason.
   };
-  /// Walks the degradation ladder for a root whose analysis aborted:
-  /// sacrificial engines with progressively cheaper options write into
-  /// \p Target (analyzeRoot flushes only on success, so a failed stage
-  /// leaves it untouched). \p Host adopts the successful stage's annotations
-  /// so composition keeps working. A checker fault quarantines immediately —
-  /// retrying cheaper would re-execute the same bug.
+  /// Walks the degradation ladder for a root whose analysis aborted with
+  /// \p Outcome: sacrificial engines with progressively cheaper options
+  /// retry it, and the first stage that completes replaces \p Outcome. A
+  /// checker fault quarantines immediately — retrying cheaper would
+  /// re-execute the same bug.
   RootRecord containAbortedRoot(Checker &C, const FunctionDecl *Root,
-                                const EngineOptions &BaseOpts, Engine &Host,
-                                ReportManager &Target,
+                                const EngineOptions &BaseOpts,
                                 MetricsSnapshot &ExtraStats,
-                                const RootOutcome &First);
+                                RootOutcome &Outcome);
   /// Records \p Rec as a RootIncident (deterministic: callers invoke this in
   /// serial root order at any job count) and bumps the outcome counters.
   void noteRootOutcome(Checker &C, const FunctionDecl *Root,
@@ -216,10 +214,9 @@ private:
   /// Derives every root's summary key and loads what the store holds.
   std::vector<RootProbe> probeRoots(const Checker &C, const EngineOptions &Opts,
                                     unsigned CheckerIndex, uint64_t SuiteFp);
-  /// Fills \p P.Fresh from the root \p E just analyzed into \p Buffer,
+  /// Fills \p P.Fresh from the outcome \p O of the root \p E just analyzed,
   /// while the engine (and its function summaries) are still alive.
-  void buildArtifact(Engine &E, const ReportManager &Buffer,
-                     RootProbe &P) const;
+  void buildArtifact(Engine &E, const RootOutcome &O, RootProbe &P) const;
   /// Replays \p P's stored artifact into the results when it hit (and,
   /// under --cache-verify, matches the fresh one); false otherwise.
   bool replayCached(const Checker &C, const FunctionDecl *Root, RootProbe &P);
@@ -243,8 +240,8 @@ private:
   ReportManager Reports;
   std::vector<std::unique_ptr<Checker>> Checkers;
   /// Composition state within one run(): the annotations merged from the
-  /// checkers run so far, seeding the next checker's shard engines.
-  Engine::AnnotationMap Annotations;
+  /// checkers run so far, which every root of the next checker reads.
+  AnnotationMap Annotations;
   /// Counters of every shard and ladder engine this tool has run.
   MetricsSnapshot Accumulated;
   /// Optional trace collector, threaded into every engine (shard and

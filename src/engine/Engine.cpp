@@ -365,14 +365,14 @@ public:
     }
     if (E.CkC.Reports)
       bump(E.CkC.Reports);
-    E.Reports->add(std::move(R));
+    E.RootOut->Reports.add(std::move(R));
   }
 
   void countExample(const std::string &RuleKey) override {
-    E.Reports->countExample(RuleKey);
+    E.RootOut->Reports.countExample(RuleKey);
   }
   void countViolation(const std::string &RuleKey) override {
-    E.Reports->countViolation(RuleKey);
+    E.RootOut->Reports.countViolation(RuleKey);
   }
 
   void annotatePath(const std::string &Tag) override {
@@ -384,28 +384,11 @@ public:
 
   void annotate(const Stmt *Node, const std::string &Key,
                 const std::string &Value) override {
-    // Journal the previous value so an aborted root can restore it: an
-    // aborted root must leave no trace in composition state, or later
-    // checkers would see annotations from a path set that never "happened".
-    auto &KV = E.Annotations[Node];
-    auto It = KV.find(Key);
-    AnnotUndo Undo;
-    Undo.Node = Node;
-    Undo.Key = Key;
-    if (It != KV.end()) {
-      Undo.HadOld = true;
-      Undo.Old = It->second;
-    }
-    E.AnnotJournal.push_back(std::move(Undo));
-    KV[Key] = Value;
+    E.RootOut->Annotations[Node][Key] = Value;
   }
   const std::string *annotation(const Stmt *Node,
                                 const std::string &Key) const override {
-    auto NodeIt = E.Annotations.find(Node);
-    if (NodeIt == E.Annotations.end())
-      return nullptr;
-    auto It = NodeIt->second.find(Key);
-    return It == NodeIt->second.end() ? nullptr : &It->second;
+    return E.annotation(Node, Key);
   }
 
   void killPath() override { PS.Killed = true; }
@@ -520,9 +503,8 @@ MetricsSnapshot EngineStats::toMetrics() const {
 }
 
 Engine::Engine(ASTContext &Ctx, const SourceManager &SM, const CallGraph &CG,
-               ReportManager &Reports, EngineOptions Opts,
-               TraceCollector *Trace)
-    : Ctx(Ctx), SM(SM), CG(CG), Reports(&Reports), Opts(Opts), Trace(Trace) {
+               EngineOptions Opts, TraceCollector *Trace)
+    : Ctx(Ctx), SM(SM), CG(CG), Opts(Opts), Trace(Trace) {
 #define MC_METRIC_INIT(Field, DottedName, StatsKey, BenchKey)                  \
   Ctr.Field = Metrics.counter(DottedName);
   MC_ENGINE_METRICS(MC_METRIC_INIT)
@@ -576,13 +558,22 @@ const BlockSummary *Engine::blockSummary(const FunctionDecl *Fn,
   return const_cast<FunctionSummaries &>(It->second).find(B);
 }
 
-const std::string *Engine::annotation(const Stmt *Node,
-                                      const std::string &Key) const {
-  auto NodeIt = Annotations.find(Node);
-  if (NodeIt == Annotations.end())
+/// The value of \p Key on \p Node in \p M, or null.
+static const std::string *findAnnotation(const AnnotationMap &M,
+                                         const Stmt *Node,
+                                         const std::string &Key) {
+  auto NodeIt = M.find(Node);
+  if (NodeIt == M.end())
     return nullptr;
   auto It = NodeIt->second.find(Key);
   return It == NodeIt->second.end() ? nullptr : &It->second;
+}
+
+const std::string *Engine::annotation(const Stmt *Node,
+                                      const std::string &Key) const {
+  if (const std::string *Own = findAnnotation(RootOut->Annotations, Node, Key))
+    return Own;
+  return Earlier ? findAnnotation(*Earlier, Node, Key) : nullptr;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1721,29 +1712,6 @@ bool Engine::rootAborted() {
   return false;
 }
 
-void Engine::rollbackRoot() {
-  // Summaries touched by the aborted traversal are incomplete (some suffix
-  // edges were never relaxed); a later root replaying one would silently
-  // drop reports. Valid pre-existing summaries of touched functions go too —
-  // re-deriving them is just work, never a behavior change.
-  for (const FunctionDecl *Fn : TouchedThisRoot)
-    Summaries.erase(Fn);
-  // Undo annotation writes in reverse so the earliest previous value wins.
-  for (auto It = AnnotJournal.rbegin(); It != AnnotJournal.rend(); ++It) {
-    auto NodeIt = Annotations.find(It->Node);
-    if (NodeIt == Annotations.end())
-      continue;
-    if (It->HadOld)
-      NodeIt->second[It->Key] = It->Old;
-    else
-      NodeIt->second.erase(It->Key);
-    if (NodeIt->second.empty())
-      Annotations.erase(NodeIt);
-  }
-  AnnotJournal.clear();
-  TouchedThisRoot.clear();
-}
-
 /// The span-arg spelling of a root outcome (job-agnostic).
 static const char *rootAbortKindName(RootAbortKind K) {
   switch (K) {
@@ -1777,19 +1745,14 @@ RootOutcome Engine::analyzeRoot(Checker &C, const FunctionDecl *Root) {
   RootSpan.arg("root", Root->name());
   RootSpan.arg("checker", C.name());
 
-  // Fault boundary. Reports buffer into a scratch manager and are flushed
-  // only on success — merge() replays add(), so dedup/ranking behave exactly
-  // as if the reports had been added directly (this is the same replay the
-  // sharded per-root buffers rely on). Side effects on shared state
-  // (summaries, annotations) are journaled for rollback.
+  // Fault boundary. The root's reports and annotations go into Out, which
+  // the caller merges; the summaries are the one state shared with later
+  // roots, so the functions they belong to are noted for rollback.
   AbortKind = RootAbortKind::None;
   AbortReason.clear();
   RootPathsBase = Ctr.PathsExplored->load(std::memory_order_relaxed);
-  AnnotJournal.clear();
   TouchedThisRoot.clear();
-  ReportManager Scratch;
-  ReportManager *Target = Reports;
-  Reports = &Scratch;
+  RootOut = &Out;
   DeadlineExpired.store(false, std::memory_order_relaxed);
   DeadlineArmed = Opts.Reporting.RootDeadlineMs != 0;
   {
@@ -1812,17 +1775,18 @@ RootOutcome Engine::analyzeRoot(Checker &C, const FunctionDecl *Root) {
     }
   }
   DeadlineArmed = false;
-  Reports = Target;
-  if (AbortKind == RootAbortKind::None) {
-    Reports->merge(Scratch);
-    AnnotJournal.clear();
-    TouchedThisRoot.clear();
-  } else {
+  RootOut = nullptr;
+  if (AbortKind != RootAbortKind::None) {
     Out.Kind = AbortKind;
-    Out.Reason = AbortReason;
-    rollbackRoot();
-    AbortKind = RootAbortKind::None;
-    AbortReason.clear();
+    Out.Reason = std::move(AbortReason);
+    Out.Reports.clear();
+    Out.Annotations.clear();
+    // Summaries touched by the aborted traversal are incomplete (some suffix
+    // edges were never relaxed); a later root replaying one would silently
+    // drop reports. Valid pre-existing summaries of touched functions go
+    // too: re-deriving them is just work, never a behavior change.
+    for (const FunctionDecl *Fn : TouchedThisRoot)
+      Summaries.erase(Fn);
   }
   RootSpan.arg("outcome", rootAbortKindName(Out.Kind));
   // Per-root arena teardown: record the telemetry, then free every slab in
@@ -1834,8 +1798,11 @@ RootOutcome Engine::analyzeRoot(Checker &C, const FunctionDecl *Root) {
   return Out;
 }
 
-void Engine::beginChecker(Checker &C) {
+void Engine::beginChecker(Checker &C) { beginChecker(C, nullptr); }
+
+void Engine::beginChecker(Checker &C, const AnnotationMap *EarlierAnnots) {
   CurChecker = &C;
+  Earlier = EarlierAnnots;
   // Force cell re-registration: a fresh Checker may reuse a destroyed one's
   // address, which the pointer guard alone would miss.
   CellsChecker = nullptr;
@@ -1848,9 +1815,10 @@ void Engine::beginChecker(Checker &C) {
 }
 
 void Engine::run(Checker &C) {
-  beginChecker(C);
+  beginChecker(C, nullptr);
   // Raw mode: outcomes are dropped (an aborted root is simply skipped).
-  // XgccTool::run layers the degradation ladder and incident records on top.
+  // XgccTool::run layers the merge, the degradation ladder and incident
+  // records on top.
   for (const FunctionDecl *Root : CG.roots())
     analyzeRoot(C, Root);
 }

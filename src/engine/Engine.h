@@ -125,9 +125,9 @@ struct EngineOptions {
   /// Worker threads for root-function analysis and pass-1 parsing; 0 = one
   /// per hardware thread. An uncached run cuts each checker's roots into
   /// min(Jobs, roots) contiguous shards, so 1 is one shard; each shard owns
-  /// a private Engine (caches, stats, report buffers) and shards share only
-  /// the immutable AST/CFG/call graph. See docs/INTERNALS.md "Threading
-  /// model".
+  /// a private Engine (caches, stats) and shards share only what stays
+  /// immutable while they run: the AST/CFG/call graph and the earlier
+  /// checkers' annotations. See docs/INTERNALS.md "Threading model".
   unsigned Jobs = 1;
 
   friend bool operator==(const EngineOptions &,
@@ -197,12 +197,21 @@ enum class RootAbortKind {
   CheckerFault, ///< The checker raised a fault via raiseFault().
 };
 
-/// Outcome of one analyzeRoot() call. On abort the root's buffered reports
-/// were discarded and its summary/annotation side effects rolled back, so
+/// Checker-composition state (Section 3.2): the annotations checkers wrote
+/// on AST nodes, key to value per node.
+using AnnotationMap =
+    std::map<const Stmt *, std::map<std::string, std::string>>;
+
+/// Everything one analyzeRoot() call produced. On abort the root's reports
+/// and annotations are empty and the summaries it touched were erased, so
 /// the caller can retry with cheaper options or quarantine the root.
 struct RootOutcome {
   RootAbortKind Kind = RootAbortKind::None;
   std::string Reason;
+  /// The root's reports and rule counters, in the order it emitted them.
+  ReportManager Reports;
+  /// The annotations the root wrote.
+  AnnotationMap Annotations;
   bool aborted() const { return Kind != RootAbortKind::None; }
 };
 
@@ -215,8 +224,10 @@ struct RootOutcome {
 constexpr unsigned kDegradationStages = 3;
 EngineOptions degradedOptions(const EngineOptions &Base, unsigned Stage);
 
-/// The xgcc engine. One Engine runs one or more checkers over one source
-/// base; AST annotations persist across checkers (composition).
+/// The xgcc engine. One Engine runs one checker at a time over one source
+/// base: beginChecker, then analyzeRoot per root. Across roots it keeps only
+/// summaries; each root's reports and annotations come back in its
+/// RootOutcome, and the caller merges them.
 class Engine {
 public:
   /// \p Trace may be null (tracing off) or a shared collector; the engine
@@ -225,33 +236,42 @@ public:
   /// constructor dependency rather than an option: EngineOptions stays a
   /// pure, comparable value that round-trips through the run manifest.
   Engine(ASTContext &Ctx, const SourceManager &SM, const CallGraph &CG,
-         ReportManager &Reports, EngineOptions Opts = EngineOptions(),
+         EngineOptions Opts = EngineOptions(),
          TraceCollector *Trace = nullptr);
+  /// The signature perfbench's traced replay builds engines with. The
+  /// manager receives nothing: reports come back in each RootOutcome.
+  Engine(ASTContext &Ctx, const SourceManager &SM, const CallGraph &CG,
+         ReportManager &, EngineOptions Opts = EngineOptions(),
+         TraceCollector *Trace = nullptr)
+      : Engine(Ctx, SM, CG, Opts, Trace) {}
   ~Engine();
   Engine(const Engine &) = delete;
   Engine &operator=(const Engine &) = delete;
 
   /// Applies \p C to the whole source base: a top-down DFS from every
-  /// callgraph root (Section 6, step 3). XgccTool::run shards the roots
-  /// instead; a direct call keeps this engine, and its block summaries, for
-  /// introspection (Figure 5).
+  /// callgraph root (Section 6, step 3), dropping the roots' outcomes.
+  /// XgccTool::run shards the roots instead; a direct call keeps this
+  /// engine, and its block summaries, for introspection (Figure 5).
   void run(Checker &C);
 
   /// Prepares the engine for a fresh run of \p C (clears function summaries;
-  /// a new checker invalidates them). XgccTool::run calls this once per
-  /// shard engine, then drives analyzeRoot over the shard's roots.
+  /// a new checker invalidates them). \p Earlier holds the annotations the
+  /// checkers before \p C wrote (null = none); every root reads them, never
+  /// writes them, and they must stay unchanged until the next beginChecker.
+  /// XgccTool::run calls this once per shard engine, then drives analyzeRoot
+  /// over the shard's roots.
+  void beginChecker(Checker &C, const AnnotationMap *Earlier);
+  /// beginChecker with no earlier annotations (the signature perfbench's
+  /// traced replay calls).
   void beginChecker(Checker &C);
 
-  /// Applies \p C starting from a single root. Acts as the fault boundary:
-  /// reports buffer into a scratch manager flushed only on success, and on
-  /// abort the root's summary and annotation side effects are rolled back,
-  /// so an aborted root leaves the engine exactly as if it had been skipped.
+  /// Applies \p C starting from a single root and returns what it produced.
+  /// The root sees the earlier checkers' annotations plus its own writes,
+  /// never another root's. Acts as the fault boundary: on abort the outcome
+  /// carries no reports or annotations and every function summary the root
+  /// touched is erased, so an aborted root leaves the engine exactly as if
+  /// it had been skipped.
   RootOutcome analyzeRoot(Checker &C, const FunctionDecl *Root);
-
-  /// Redirects reports produced from now on into \p R. Shard engines point
-  /// at a private per-root buffer so the merge can replay reports in root
-  /// order.
-  void setReports(ReportManager &R) { Reports = &R; }
 
   /// Typed snapshot of the engine's well-known counters (by value — the
   /// live counters are registry cells now).
@@ -269,27 +289,13 @@ public:
   /// The full summary store of \p Fn for the last checker run, or null when
   /// the function was never descended into. The incremental cache's
   /// --cache-verify pass digests these (engine/Summaries.h text form) to
-  /// cross-check warm replays against a fresh analysis; rollbackRoot()
-  /// erases the store of every function the aborted root touched, so a
-  /// ladder-degraded root can never leak partial summaries into a digest.
+  /// cross-check warm replays against a fresh analysis; an aborted root
+  /// erases the store of every function it touched, so a ladder-degraded
+  /// root can never leak partial summaries into a digest.
   FunctionSummaries *functionSummary(const FunctionDecl *Fn) {
     auto It = Summaries.find(Fn);
     return It == Summaries.end() ? nullptr : &It->second;
   }
-
-  /// AST annotations written by checker composition.
-  const std::string *annotation(const Stmt *Node,
-                                const std::string &Key) const;
-
-  /// The full annotation store (checker composition state).
-  using AnnotationMap =
-      std::map<const Stmt *, std::map<std::string, std::string>>;
-  const AnnotationMap &annotations() const { return Annotations; }
-  /// Replaces the annotation store. XgccTool::run harvests every shard's
-  /// annotations at the per-checker barrier and seeds the next checker's
-  /// shard engines with the merged map, so composition (e.g. path_kill's
-  /// PATHKILL marks) survives engine-per-shard isolation.
-  void seedAnnotations(AnnotationMap A) { Annotations = std::move(A); }
 
   /// Internal point descriptor (public so implementation helpers can name
   /// it; not part of the stable API).
@@ -337,18 +343,19 @@ private:
 
   void endOfPath(PathState &PS, const FunctionDecl *Root);
 
+  /// The value of annotation \p Key on \p Node as the current root sees it:
+  /// its own write, else the earlier checkers'; null when absent.
+  const std::string *annotation(const Stmt *Node,
+                                const std::string &Key) const;
+
   /// Latches the abort kind if a hard budget (deadline, root path budget)
   /// tripped; returns whether the current root is aborting. Cheap enough for
   /// the per-block hot path: two flag compares and a counter compare.
   bool rootAborted();
-  /// Undoes the aborted root's side effects (touched summaries, annotation
-  /// journal) so later roots behave as if it never ran.
-  void rollbackRoot();
 
   ASTContext &Ctx;
   const SourceManager &SM;
   const CallGraph &CG;
-  ReportManager *Reports;
   EngineOptions Opts;
 
   /// The live counter store. Engine-private on the hot path; increments go
@@ -399,6 +406,11 @@ private:
   uint64_t laneOf(const FunctionDecl *Root);
 
   Checker *CurChecker = nullptr;
+  /// The annotations of the checkers before CurChecker (see beginChecker).
+  const AnnotationMap *Earlier = nullptr;
+  /// The outcome of the root in flight: its reports and annotation writes
+  /// land here (null between roots).
+  RootOutcome *RootOut = nullptr;
   /// Hashed: probed/erased by key only (analyzeFunction, replay, rollback);
   /// iteration never happens, so order cannot reach report bytes.
   std::unordered_map<const FunctionDecl *, FunctionSummaries> Summaries;
@@ -409,10 +421,8 @@ private:
   BumpPtrAllocator RootArena;
   // The lookup caches below are never iterated (single-key probes
   // only), so hashed containers are safe: no engine decision, and hence no
-  // report byte, depends on their order. Annotations stays a std::map — the
-  // sharded merge and composition tests iterate it in address order.
+  // report byte, depends on their order.
   std::unordered_map<const BasicBlock *, std::vector<PointInfo>> PointCache;
-  AnnotationMap Annotations;
   /// Synthesized DeclRefExprs for formals and declared locals.
   std::unordered_map<const VarDecl *, const Expr *> DeclRefCache;
   /// Printed text of branch conditions, memoized per Expr: the always-on
@@ -445,14 +455,6 @@ private:
   /// Functions whose shared summaries were touched during the current root;
   /// erased on abort (a partially-relaxed summary must not be replayed).
   std::vector<const FunctionDecl *> TouchedThisRoot;
-  /// Undo log for annotation writes during the current root.
-  struct AnnotUndo {
-    const Stmt *Node;
-    std::string Key;
-    bool HadOld = false;
-    std::string Old;
-  };
-  std::vector<AnnotUndo> AnnotJournal;
 };
 
 } // namespace mc

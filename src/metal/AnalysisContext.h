@@ -141,10 +141,12 @@ public:
   // Composition (Section 3.2) and traversal control
   //===--------------------------------------------------------------------===//
 
-  /// Annotates an AST node for later checkers (composition).
+  /// Annotates an AST node for the rest of the current root and for later
+  /// checkers (composition); other roots of this checker never see it.
   virtual void annotate(const Stmt *Node, const std::string &Key,
                         const std::string &Value) = 0;
-  /// Reads an annotation left by an earlier checker; null when absent.
+  /// Reads an annotation left by an earlier checker or by the current root;
+  /// null when absent.
   virtual const std::string *annotation(const Stmt *Node,
                                         const std::string &Key) const = 0;
 

@@ -16,6 +16,7 @@
 #include "support/RawOstream.h"
 
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -32,6 +33,7 @@ namespace fs = std::filesystem;
 struct CacheRun {
   std::string Reports;
   MetricsSnapshot Metrics;
+  std::string Diags; ///< Everything the tool wrote to its diagnostic stream.
 };
 
 class CacheTest : public ::testing::Test {
@@ -79,16 +81,19 @@ protected:
   }
 
   CacheRun run(const std::string &StoreDir, bool Verify = false,
-               EngineOptions Opts = EngineOptions()) {
-    XgccTool Tool;
+               EngineOptions Opts = EngineOptions(),
+               const std::vector<std::string> &Checkers = {"free"}) {
+    CacheRun R;
+    raw_string_ostream DiagOS(R.Diags);
+    XgccTool Tool(&DiagOS);
     if (!StoreDir.empty())
       Tool.setCacheDir(StoreDir);
     Tool.setCacheVerify(Verify);
     EXPECT_TRUE(Tool.addSourceFiles(Paths, 2));
-    EXPECT_TRUE(Tool.addBuiltinChecker("free"));
+    for (const std::string &Name : Checkers)
+      EXPECT_TRUE(Tool.addBuiltinChecker(Name));
     Tool.run(Opts);
     Tool.finishCache();
-    CacheRun R;
     raw_string_ostream OS(R.Reports);
     Tool.reports().print(OS, RankPolicy::Generic);
     OS.flush();
@@ -105,6 +110,28 @@ protected:
         Out.push_back(E.path());
     std::sort(Out.begin(), Out.end());
     return Out;
+  }
+
+  /// Rewrites the first stored summary artifact that \p Edit accepts with
+  /// the bytes it returns. store() reseals the checksum, so the entry still
+  /// loads and only the artifact parser or --cache-verify can object.
+  bool resealFirstSummary(
+      const std::function<bool(const std::string &, std::string &)> &Edit) {
+    AnalysisCache C(Store);
+    EXPECT_TRUE(C.usable());
+    for (const fs::path &P : entries()) {
+      std::string Name = P.stem().string();
+      if (Name.rfind("sum-", 0) != 0)
+        continue;
+      uint64_t Key = std::stoull(Name.substr(4), nullptr, 16);
+      std::string Payload, Edited;
+      if (!C.load(AnalysisCache::Kind::Summary, Key, Payload) ||
+          !Edit(Payload, Edited))
+        continue;
+      C.store(AnalysisCache::Kind::Summary, Key, Edited);
+      return true;
+    }
+    return false;
   }
 };
 
@@ -206,33 +233,75 @@ TEST_F(CacheTest, VerifyModeChecksHitsWithoutMismatch) {
 TEST_F(CacheTest, VerifyModeComparesSummaryDigests) {
   writeCorpus();
   CacheRun Cold = run(Store);
-  // Flip one digest of one stored summary artifact. store() reseals the
-  // checksum, so the entry still loads and only --cache-verify's comparison
-  // with a fresh analysis can catch it.
-  bool Flipped = false;
-  {
-    AnalysisCache C(Store);
-    ASSERT_TRUE(C.usable());
-    for (const fs::path &P : entries()) {
-      std::string Name = P.stem().string();
-      if (Name.rfind("sum-", 0) != 0)
-        continue;
-      uint64_t Key = std::stoull(Name.substr(4), nullptr, 16);
-      std::string Payload, Err;
-      RootArtifact A;
-      if (!C.load(AnalysisCache::Kind::Summary, Key, Payload) ||
-          !A.parse(Payload, &Err) || A.Digests.empty())
-        continue;
-      A.Digests.front().Value ^= 1;
-      C.store(AnalysisCache::Kind::Summary, Key, A.serialize());
-      Flipped = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(Flipped);
+  // Flip one digest of one stored summary artifact: only --cache-verify's
+  // comparison with a fresh analysis can catch it.
+  ASSERT_TRUE(resealFirstSummary([](const std::string &In, std::string &Out) {
+    RootArtifact A;
+    std::string Err;
+    if (!A.parse(In, &Err) || A.Digests.empty())
+      return false;
+    A.Digests.front().Value ^= 1;
+    Out = A.serialize();
+    return true;
+  }));
   CacheRun Verify = run(Store, /*Verify=*/true);
   EXPECT_EQ(Verify.Reports, Cold.Reports);
   EXPECT_EQ(Verify.Metrics.value(kCacheVerifyMismatch), 1u);
+  // The note goes to the tool's own stream (a served request's log).
+  EXPECT_NE(Verify.Diags.find("verify mismatch for root"), std::string::npos);
+}
+
+TEST_F(CacheTest, CorruptSummaryArtifactIsDiagnosedOnTheToolStream) {
+  writeCorpus();
+  CacheRun Cold = run(Store);
+  ASSERT_TRUE(resealFirstSummary([](const std::string &, std::string &Out) {
+    Out = "not a root artifact";
+    return true;
+  }));
+  CacheRun Warm = run(Store);
+  EXPECT_EQ(Warm.Reports, Cold.Reports);
+  EXPECT_EQ(Warm.Metrics.value(kCacheSummaryMisses), 1u);
+  EXPECT_NE(Warm.Diags.find("dropping corrupt entry for root"),
+            std::string::npos);
+}
+
+TEST_F(CacheTest, PathKillCompositionSameColdAndWarm) {
+  // path_kill marks the panic() calls and free skips the paths they end,
+  // so of the three use-after-frees only the unguarded one is reported.
+  // One guard sits in a helper, so its mark lies in the closure of the
+  // root free analyzes and reaches that root's summary key.
+  std::string S = "void kfree(void *p);\n"
+                  "void panic(char *msg);\n"
+                  "void die(void) { panic(\"fatal\"); }\n"
+                  "int guarded(int *p, int c) {\n"
+                  "  kfree(p);\n"
+                  "  if (c) { panic(\"boom\"); return *p; }\n"
+                  "  return 0;\n}\n"
+                  "int guarded_by_helper(int *p, int c) {\n"
+                  "  kfree(p);\n"
+                  "  if (c) { die(); return *p; }\n"
+                  "  return 0;\n}\n"
+                  "int buggy(int *p) {\n"
+                  "  kfree(p);\n"
+                  "  return *p;\n}\n";
+  fs::path P = Dir / "guard.c";
+  ASSERT_TRUE(writeFileBytes(P.string(), S));
+  Paths = {P.string()};
+  const std::vector<std::string> Suite = {"path_kill", "free"};
+  std::string Ref = run(/*StoreDir=*/"", false, {}, Suite).Reports;
+  EXPECT_EQ(std::count(Ref.begin(), Ref.end(), '\n'), 1) << Ref;
+  EXPECT_NE(Ref.find("in buggy:"), std::string::npos) << Ref;
+  for (unsigned Jobs : {1u, 4u}) {
+    fs::remove_all(Store);
+    EngineOptions Opts;
+    Opts.Jobs = Jobs;
+    CacheRun Cold = run(Store, false, Opts, Suite);
+    CacheRun Warm = run(Store, false, Opts, Suite);
+    EXPECT_EQ(Cold.Reports, Ref) << "jobs=" << Jobs;
+    EXPECT_EQ(Warm.Reports, Ref) << "jobs=" << Jobs;
+    EXPECT_GT(Warm.Metrics.value(kCacheSummaryHits), 0u) << "jobs=" << Jobs;
+    EXPECT_EQ(Warm.Metrics.value(kCacheSummaryMisses), 0u) << "jobs=" << Jobs;
+  }
 }
 
 TEST_F(CacheTest, EditInvalidatesOnlyChangedFunctions) {

@@ -258,6 +258,69 @@ TEST(FaultContainment, ArmedValvesChangeNothingWithoutFaults) {
   }
 }
 
+TEST(FaultContainment, DegradedRootHandsAnnotationsToLaterCheckers) {
+  // The 16 paths through spread() blow the root budget, so both checkers'
+  // analyses of guarded abort and complete at ladder stage 1, which does
+  // not follow calls. path_kill's stage-1 outcome carries the PATHKILL mark
+  // on the panic() call; the free checker's stage 1 must read it and drop
+  // the use after panic(), as it does without the ladder.
+  std::string S = "void kfree(void *p);\n"
+                  "void panic(char *msg);\n"
+                  "int spread(int a, int b, int c, int d) {\n"
+                  "  int acc = 0;\n"
+                  "  if (a) { acc += 1; } else { acc -= 1; }\n"
+                  "  if (b) { acc += 2; } else { acc -= 2; }\n"
+                  "  if (c) { acc += 3; } else { acc -= 3; }\n"
+                  "  if (d) { acc += 4; } else { acc -= 4; }\n"
+                  "  return acc;\n}\n"
+                  "int guarded(int *p, int c) {\n"
+                  "  c = spread(c, c, c, c);\n"
+                  "  kfree(p);\n"
+                  "  if (c) {\n"
+                  "    panic(\"boom\");\n"
+                  "    return *p;\n"
+                  "  }\n"
+                  "  return 0;\n}\n";
+  auto Run = [&](bool WithPathKill, EngineOptions Opts) {
+    XgccTool Tool;
+    EXPECT_TRUE(Tool.addSource("guard.c", S));
+    if (WithPathKill)
+      Tool.addBuiltinChecker("path_kill");
+    Tool.addBuiltinChecker("free");
+    Tool.run(Opts);
+    Snapshot Snap;
+    raw_string_ostream OS(Snap.Rendered);
+    Tool.reports().print(OS, RankPolicy::Generic);
+    Snap.Incidents = Tool.reports().incidents();
+    return Snap;
+  };
+  EngineOptions Opts;
+  Opts.EnableBlockCache = false;
+  Opts.EnableFunctionSummaries = false;
+  Opts.RootPathBudget = 4;
+  for (unsigned Jobs : {1u, 4u}) {
+    Opts.Jobs = Jobs;
+    Snapshot Got = Run(/*WithPathKill=*/true, Opts);
+    ASSERT_EQ(Got.Incidents.size(), 2u) << "jobs=" << Jobs;
+    for (const RootIncident &I : Got.Incidents) {
+      EXPECT_EQ(I.Root, "guarded");
+      EXPECT_FALSE(I.Quarantined);
+      EXPECT_EQ(I.Stage, 1u);
+      EXPECT_NE(I.Reason.find("path budget"), std::string::npos);
+    }
+    EXPECT_EQ(Got.Incidents[0].Checker, "path_kill");
+    EXPECT_EQ(Got.Incidents[1].Checker, "free_checker");
+    EXPECT_EQ(Got.Rendered.find("using p after free"), std::string::npos)
+        << Got.Rendered;
+    // Without the marks, the same degraded analysis reports the use.
+    Snapshot Alone = Run(/*WithPathKill=*/false, Opts);
+    ASSERT_EQ(Alone.Incidents.size(), 1u) << "jobs=" << Jobs;
+    EXPECT_EQ(Alone.Incidents[0].Stage, 1u);
+    EXPECT_NE(Alone.Rendered.find("using p after free"), std::string::npos)
+        << Alone.Rendered;
+  }
+}
+
 TEST(FaultContainment, QuarantineRollsBackAnnotations) {
   // A quarantined root must leave no composition trace: run the injector
   // (which quarantines fn0) and then the path_kill + free builtins; the

@@ -20,6 +20,7 @@
 #include "gtest/gtest.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -228,6 +229,71 @@ TEST(ParallelDeterminismTest, CompositionSurvivesSharding) {
     RunSnapshot Sharded = RunAt(Jobs);
     EXPECT_EQ(Sharded.Rendered, Serial.Rendered) << "jobs=" << Jobs;
   }
+}
+
+TEST(ParallelDeterminismTest, RootsSeeOnlyTheirOwnAnnotations) {
+  // selfmark annotates each mark() call it reaches and reports one that
+  // already carries its annotation. r1 and r2 reach the same call in
+  // helper (r2 after flip(), so helper is walked again in another state
+  // instead of replayed from its summary). A root reads the earlier
+  // checkers' annotations and its own writes, never another root's, so
+  // nothing is reported, whichever engine runs which root.
+  const char *SelfMark =
+      "sm selfmark;  decl any_arguments args;\n"
+      "start:  { mark(args) } && ${ mc_annotated(\"SEEN\") } ==> start, "
+      "{ err(\"mark reached by an earlier root\"); }\n"
+      "      | { mark(args) } ==> start, { annotate(\"SEEN\"); }\n"
+      "      | { flip(args) } ==> other ;\n"
+      "other:  { mark(args) } && ${ mc_annotated(\"SEEN\") } ==> other, "
+      "{ err(\"mark reached by an earlier root\"); }\n"
+      "      | { mark(args) } ==> other, { annotate(\"SEEN\"); } ;\n";
+  const std::string Decls = "void mark(int x); void flip(void);\n"
+                            "void helper(int v) { mark(v); }\n";
+  const std::string TwoRoots = writeTemp(
+      "pdt_selfmark.c", Decls + "void r1(void) { helper(1); }\n"
+                                "void r2(void) { flip(); helper(2); }\n");
+  const std::string Store = ::testing::TempDir() + "/pdt_selfmark_store";
+  std::filesystem::remove_all(Store);
+  uint64_t StoreHits = 0;
+  auto Render = [&](const std::string &Path, EngineOptions Opts,
+                    bool Cached) {
+    XgccTool Tool;
+    if (Cached)
+      Tool.setCacheDir(Store);
+    EXPECT_TRUE(Tool.addSourceFiles({Path}, 1));
+    EXPECT_TRUE(Tool.addMetalChecker(SelfMark, "selfmark.m"));
+    Tool.run(Opts);
+    Tool.finishCache();
+    StoreHits = Tool.metrics().value(kCacheSummaryHits);
+    std::string Out;
+    raw_string_ostream OS(Out);
+    Tool.reports().print(OS, RankPolicy::Generic);
+    return Out;
+  };
+  EngineOptions Opts;
+  const std::string Serial = Render(TwoRoots, Opts, false);
+  EXPECT_EQ(Serial, ""); // No reports.
+  for (unsigned Jobs : {2u, 4u}) {
+    Opts.Jobs = Jobs;
+    EXPECT_EQ(Render(TwoRoots, Opts, false), Serial) << "jobs=" << Jobs;
+  }
+  // Cold and warm store runs, at --jobs 4.
+  EXPECT_EQ(Render(TwoRoots, Opts, true), Serial) << "cold";
+  EXPECT_EQ(Render(TwoRoots, Opts, true), Serial) << "warm";
+  EXPECT_EQ(StoreHits, 2u) << "warm";
+  std::filesystem::remove_all(Store);
+
+  // A root still sees its own writes: one root reaching the call twice
+  // (walked twice, with summaries off) reports it once.
+  const std::string OneRoot =
+      writeTemp("pdt_selfmark_one.c",
+                Decls + "void r1(void) { helper(1); helper(2); }\n");
+  Opts.Jobs = 1;
+  Opts.EnableFunctionSummaries = false;
+  EXPECT_EQ(Render(OneRoot, Opts, false),
+            "[1] " + OneRoot +
+                ":2: in helper: [selfmark] mark reached by an earlier root "
+                "(interprocedural, depth 1)\n");
 }
 
 TEST(ParallelDeterminismTest, PathBudgetIsPerWorker) {

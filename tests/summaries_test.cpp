@@ -31,7 +31,7 @@ std::string edgeStr(const SummaryEdge &E, const Checker &C,
 std::unique_ptr<Engine> runForSummaries(XgccTool &T) {
   T.finalize();
   auto E = std::make_unique<Engine>(T.context(), T.sourceManager(),
-                                    T.callGraph(), T.reports());
+                                    T.callGraph());
   E->run(*T.checkers()[0]);
   return E;
 }
