@@ -5,8 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // Gate for the flat-state memory architecture (>= 1.5x on the medians of
-// five interleaved repetitions, each side timed on the thread's CPU
-// clock): replays the engine's tuple-churn loop —
+// five interleaved repetitions): replays the engine's tuple-churn loop —
 // fork-copy the SMInstance, materialize its tuple set, probe/insert the
 // block cache, build the exit-dedup key — against the historical
 // string-keyed layout (std::string TreeKey/Data, tuples in a std::set
@@ -26,8 +25,6 @@
 #include <string>
 #include <unordered_set>
 #include <vector>
-
-#include <time.h>
 
 using namespace mc;
 using namespace mc::bench;
@@ -117,15 +114,6 @@ size_t internedRound(const SMInstance &SMI,
   return Hits + Dedup.insert(Tuples);
 }
 
-/// CPU time this thread has used, in milliseconds. Each side of the gate
-/// is a few milliseconds of single-threaded work, so it is timed on this
-/// clock: time the thread spends preempted by a neighbour does not count.
-double threadCpuMs() {
-  timespec TS;
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &TS);
-  return double(TS.tv_sec) * 1e3 + double(TS.tv_nsec) / 1e6;
-}
-
 struct MicroResult {
   double LegacyMs = 0;
   double InternedMs = 0;
@@ -154,19 +142,19 @@ MicroResult runMicro(unsigned NumVars, unsigned Rounds) {
   {
     std::set<LegacyTuple> Cache;
     std::set<std::string> Dedup;
-    double T0 = threadCpuMs();
+    BenchTimer T;
     for (unsigned I = 0; I < Rounds; ++I)
       Acc += legacyRound(LegacySMI, Cache, Dedup, int(I));
-    R.LegacyMs = threadCpuMs() - T0;
+    R.LegacyMs = T.ms();
   }
   {
     std::unordered_set<StateTuple, StateTupleHash> Cache;
     StateKeySet Dedup;
     BumpPtrAllocator Arena;
-    double T0 = threadCpuMs();
+    BenchTimer T;
     for (unsigned I = 0; I < Rounds; ++I)
       Acc += internedRound(FlatSMI, Cache, Dedup, Arena, int(I));
-    R.InternedMs = threadCpuMs() - T0;
+    R.InternedMs = T.ms();
   }
   // Keep the accumulated value observable so rounds cannot be folded away.
   volatile size_t Sink = Acc;
@@ -187,8 +175,7 @@ int main(int argc, char **argv) {
   OS << "==== Arena + flat state: representation microbench ====\n";
   // Warm once (interner population, allocator slabs), then measure. Each
   // side of the gate is the median of interleaved repetitions: one run
-  // lasts a few milliseconds, so a single sample is at the mercy of a cache
-  // or frequency hiccup.
+  // lasts a few milliseconds, so a single sample is at a neighbour's mercy.
   runMicro(NumVars, Rounds / 4);
   const unsigned Reps = 5;
   std::vector<double> LegacyMs, InternedMs;
@@ -198,8 +185,8 @@ int main(int argc, char **argv) {
     InternedMs.push_back(Rep.InternedMs);
   }
   MicroResult Micro{median(LegacyMs), median(InternedMs)};
-  OS.printf("%u vars x %u rounds, median of %u (thread CPU time): legacy "
-            "%.2f ms, interned %.2f ms (%.2fx)\n",
+  OS.printf("%u vars x %u rounds, median of %u: legacy %.2f ms, interned "
+            "%.2f ms (%.2fx)\n",
             NumVars, Rounds, Reps, Micro.LegacyMs, Micro.InternedMs,
             Micro.speedup());
   bool Ok = Micro.speedup() >= 1.5;

@@ -296,8 +296,9 @@ XgccTool::containAbortedRoot(Checker &C, const FunctionDecl *Root,
     return Rec;
   }
   for (unsigned Stage = 1; Stage <= kDegradationStages; ++Stage) {
-    Engine Sac(Ctx, SM, CG, degradedOptions(BaseOpts, Stage), Trace);
-    Sac.beginChecker(C, &Annotations);
+    Engine Sac(Ctx, SM, CG, degradedOptions(BaseOpts, Stage), Trace,
+               &Annotations);
+    Sac.beginChecker(C);
     RootOutcome O = Sac.analyzeRoot(C, Root);
     ExtraStats.merge(Sac.metrics().snapshot());
     ++Rec.Retries;
@@ -622,8 +623,8 @@ void XgccTool::runShards(Checker &C, const EngineOptions &Opts,
       // CFGs and call graph, and the earlier checkers' annotations, which
       // change only in the merge below.
       ASTContext::ParallelArenaScope Scope(Ctx);
-      Engine E(Ctx, SM, CG, Opts, Trace);
-      E.beginChecker(C, &Annotations);
+      Engine E(Ctx, SM, CG, Opts, Trace, &Annotations);
+      E.beginChecker(C);
       for (size_t LI = Sh.Begin; LI < Sh.End; ++LI) {
         const size_t I = Live[LI];
         Outcomes[I] = E.analyzeRoot(C, Roots[I]);

@@ -503,8 +503,9 @@ MetricsSnapshot EngineStats::toMetrics() const {
 }
 
 Engine::Engine(ASTContext &Ctx, const SourceManager &SM, const CallGraph &CG,
-               EngineOptions Opts, TraceCollector *Trace)
-    : Ctx(Ctx), SM(SM), CG(CG), Opts(Opts), Trace(Trace) {
+               EngineOptions Opts, TraceCollector *Trace,
+               const AnnotationMap *Earlier)
+    : Ctx(Ctx), SM(SM), CG(CG), Opts(Opts), Trace(Trace), Earlier(Earlier) {
 #define MC_METRIC_INIT(Field, DottedName, StatsKey, BenchKey)                  \
   Ctr.Field = Metrics.counter(DottedName);
   MC_ENGINE_METRICS(MC_METRIC_INIT)
@@ -787,11 +788,10 @@ void Engine::handlePoint(FrameCtx &Frame, const BasicBlock *B, PathState &PS,
     }
   }
   // Composition: a point flagged PATHKILL by an earlier checker (the panic
-  // annotator) stops the traversal of the current path.
-  if (const std::string *Kill = annotation(PI.Point, "PATHKILL")) {
-    (void)Kill;
+  // annotator) stops the traversal of the current path. The current
+  // checker's own marks do not: it kills its paths with kill_path().
+  if (Earlier && findAnnotation(*Earlier, PI.Point, "PATHKILL"))
     PS.Killed = true;
-  }
 
   if (const auto *BO = dyn_cast<BinaryOperator>(PI.Point)) {
     if (BO->isAssignment())
@@ -1747,7 +1747,11 @@ RootOutcome Engine::analyzeRoot(Checker &C, const FunctionDecl *Root) {
 
   // Fault boundary. The root's reports and annotations go into Out, which
   // the caller merges; the summaries are the one state shared with later
-  // roots, so the functions they belong to are noted for rollback.
+  // roots, so the functions they belong to are noted for rollback. A
+  // checker that reads its own annotations shares none: a summary another
+  // root built replays that root's view of them.
+  if (C.readsOwnAnnotations())
+    Summaries.clear();
   AbortKind = RootAbortKind::None;
   AbortReason.clear();
   RootPathsBase = Ctr.PathsExplored->load(std::memory_order_relaxed);
@@ -1798,11 +1802,8 @@ RootOutcome Engine::analyzeRoot(Checker &C, const FunctionDecl *Root) {
   return Out;
 }
 
-void Engine::beginChecker(Checker &C) { beginChecker(C, nullptr); }
-
-void Engine::beginChecker(Checker &C, const AnnotationMap *EarlierAnnots) {
+void Engine::beginChecker(Checker &C) {
   CurChecker = &C;
-  Earlier = EarlierAnnots;
   // Force cell re-registration: a fresh Checker may reuse a destroyed one's
   // address, which the pointer guard alone would miss.
   CellsChecker = nullptr;
@@ -1815,7 +1816,7 @@ void Engine::beginChecker(Checker &C, const AnnotationMap *EarlierAnnots) {
 }
 
 void Engine::run(Checker &C) {
-  beginChecker(C, nullptr);
+  beginChecker(C);
   // Raw mode: outcomes are dropped (an aborted root is simply skipped).
   // XgccTool::run layers the merge, the degradation ladder and incident
   // records on top.

@@ -226,8 +226,9 @@ EngineOptions degradedOptions(const EngineOptions &Base, unsigned Stage);
 
 /// The xgcc engine. One Engine runs one checker at a time over one source
 /// base: beginChecker, then analyzeRoot per root. Across roots it keeps only
-/// summaries; each root's reports and annotations come back in its
-/// RootOutcome, and the caller merges them.
+/// summaries (none for a checker that reads its own annotations); each
+/// root's reports and annotations come back in its RootOutcome, and the
+/// caller merges them.
 class Engine {
 public:
   /// \p Trace may be null (tracing off) or a shared collector; the engine
@@ -235,9 +236,12 @@ public:
   /// merged stream is deterministic at any --jobs count. The collector is a
   /// constructor dependency rather than an option: EngineOptions stays a
   /// pure, comparable value that round-trips through the run manifest.
+  /// \p Earlier holds the annotations of the checkers that ran before this
+  /// engine's (null = none): every root reads them, none writes them, and
+  /// they must stay unchanged while the engine lives.
   Engine(ASTContext &Ctx, const SourceManager &SM, const CallGraph &CG,
-         EngineOptions Opts = EngineOptions(),
-         TraceCollector *Trace = nullptr);
+         EngineOptions Opts = EngineOptions(), TraceCollector *Trace = nullptr,
+         const AnnotationMap *Earlier = nullptr);
   /// The signature perfbench's traced replay builds engines with. The
   /// manager receives nothing: reports come back in each RootOutcome.
   Engine(ASTContext &Ctx, const SourceManager &SM, const CallGraph &CG,
@@ -255,14 +259,8 @@ public:
   void run(Checker &C);
 
   /// Prepares the engine for a fresh run of \p C (clears function summaries;
-  /// a new checker invalidates them). \p Earlier holds the annotations the
-  /// checkers before \p C wrote (null = none); every root reads them, never
-  /// writes them, and they must stay unchanged until the next beginChecker.
-  /// XgccTool::run calls this once per shard engine, then drives analyzeRoot
-  /// over the shard's roots.
-  void beginChecker(Checker &C, const AnnotationMap *Earlier);
-  /// beginChecker with no earlier annotations (the signature perfbench's
-  /// traced replay calls).
+  /// a new checker invalidates them). XgccTool::run calls this once per
+  /// shard engine, then drives analyzeRoot over the shard's roots.
   void beginChecker(Checker &C);
 
   /// Applies \p C starting from a single root and returns what it produced.
@@ -406,8 +404,9 @@ private:
   uint64_t laneOf(const FunctionDecl *Root);
 
   Checker *CurChecker = nullptr;
-  /// The annotations of the checkers before CurChecker (see beginChecker).
-  const AnnotationMap *Earlier = nullptr;
+  /// The annotations of the checkers before this engine's (see the
+  /// constructor).
+  const AnnotationMap *Earlier;
   /// The outcome of the root in flight: its reports and annotation writes
   /// land here (null between roots).
   RootOutcome *RootOut = nullptr;

@@ -67,6 +67,12 @@ public:
   /// Restore argument state from the callee on return (by-reference rows of
   /// Table 2); false keeps the caller's state unchanged (by-value).
   virtual bool restoreArgsByReference() const { return true; }
+  /// Whether the checker reads an annotation key it also writes (metal: an
+  /// annotate(K) action and an mc_annotated(K) callout). Such a checker
+  /// sees its own root's writes, so the engine keeps none of its summaries
+  /// from one root to the next: a summary replays a walk under the
+  /// annotations of the root that built it.
+  virtual bool readsOwnAnnotations() const { return false; }
 
   //===--------------------------------------------------------------------===//
   // State-name interning

@@ -10,6 +10,7 @@
 #include "support/StringUtils.h"
 
 #include <cstdlib>
+#include <set>
 
 using namespace mc;
 
@@ -41,6 +42,17 @@ MetalChecker::MetalChecker(std::unique_ptr<CheckerSpec> SpecIn)
   }
   if (InitialState == StateStop && !Spec->Blocks.empty())
     InitialState = internState("start");
+
+  std::set<std::string> Written;
+  for (const MetalStateBlock &MB : Spec->Blocks)
+    for (const MetalTransition &T : MB.Transitions)
+      for (const MetalAction &A : T.Actions)
+        if (A.Fn == "annotate" && !A.Args.empty())
+          Written.insert(A.Args[0].Text);
+  for (const MetalStateBlock &MB : Spec->Blocks)
+    for (const MetalTransition &T : MB.Transitions)
+      for (const std::string &Key : Written)
+        ReadsOwnAnnotations |= T.Pat->readsAnnotation(Key);
 
   // Compile the dispatch index: every point-matchable transition is filed
   // under its pattern's discriminator. $end_of_path$-mentioning transitions

@@ -31,6 +31,7 @@ public:
   void checkPoint(const Stmt *Point, AnalysisContext &ACtx) override;
   void checkEndOfPath(VarState *VS, AnalysisContext &ACtx) override;
   const DispatchIndex *dispatchIndex() const override { return &Index; }
+  bool readsOwnAnnotations() const override { return ReadsOwnAnnotations; }
 
   const CheckerSpec &spec() const { return *Spec; }
 
@@ -63,6 +64,8 @@ private:
   DispatchIndex Index;
   /// Number of transitions matchable at points (i.e. not $end_of_path$).
   size_t PointTransitions = 0;
+  /// Some transition's pattern reads a key one of its actions writes.
+  bool ReadsOwnAnnotations = false;
 };
 
 } // namespace mc

@@ -292,6 +292,19 @@ bool Pattern::mentionsEndOfPath() const {
   }
 }
 
+bool Pattern::readsAnnotation(const std::string &Key) const {
+  switch (Kind) {
+  case Callout:
+    return CalloutName == "mc_annotated" && !Args.empty() &&
+           Args[0].Kind == CalloutArg::String && Args[0].Text == Key;
+  case And:
+  case Or:
+    return LHS->readsAnnotation(Key) || RHS->readsAnnotation(Key);
+  default:
+    return false;
+  }
+}
+
 bool Pattern::match(const Stmt *Point, Bindings &B,
                     const CalloutEnv &Env) const {
   switch (Kind) {

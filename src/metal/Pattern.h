@@ -99,6 +99,8 @@ public:
 
   /// True when this pattern (or any disjunct of it) is `$end_of_path$`.
   bool mentionsEndOfPath() const;
+  /// True when this pattern (or any part of it) calls mc_annotated(Key).
+  bool readsAnnotation(const std::string &Key) const;
 
   /// Attempts to match at \p Point. \p B carries pre-bound holes in (the
   /// state variable is bound to the triggering instance's tree) and receives

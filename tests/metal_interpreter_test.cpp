@@ -203,6 +203,21 @@ TEST(MetalInterpreter, AnnotateAndKillPath) {
   ASSERT_NE(ACtx.annotation(Panic, "PATHKILL"), nullptr);
 }
 
+TEST(MetalInterpreter, ReadsOwnAnnotationsOnlyForAKeyItWrites) {
+  // Writing a key, or reading one an earlier checker wrote, keeps the
+  // engine's cross-root summaries; testing a key the checker writes does not.
+  auto PathKill = compile(builtinCheckerSource("path_kill"));
+  EXPECT_FALSE(PathKill->readsOwnAnnotations());
+  auto ReadsEarlier =
+      compile("sm s;\nstart: { go() } && ${ mc_annotated(\"PATHKILL\") } "
+              "==> start, { annotate(\"SEEN\"); };\n");
+  EXPECT_FALSE(ReadsEarlier->readsOwnAnnotations());
+  auto ReadsOwn =
+      compile("sm s;\nstart: { go() } ==> start, { annotate(\"SEEN\"); }\n"
+              "| { stop() } && ${ mc_annotated(\"SEEN\") } ==> start;\n");
+  EXPECT_TRUE(ReadsOwn->readsOwnAnnotations());
+}
+
 TEST(MetalInterpreter, PathAnnotateSetsClassification) {
   auto C = compile(builtinCheckerSource("user_pointer"));
   Lab L;

@@ -233,11 +233,10 @@ TEST(ParallelDeterminismTest, CompositionSurvivesSharding) {
 
 TEST(ParallelDeterminismTest, RootsSeeOnlyTheirOwnAnnotations) {
   // selfmark annotates each mark() call it reaches and reports one that
-  // already carries its annotation. r1 and r2 reach the same call in
-  // helper (r2 after flip(), so helper is walked again in another state
-  // instead of replayed from its summary). A root reads the earlier
-  // checkers' annotations and its own writes, never another root's, so
-  // nothing is reported, whichever engine runs which root.
+  // already carries its annotation. A root reads the earlier checkers'
+  // annotations and its own writes, never another root's, so each input
+  // gives the same bytes whichever engine runs which root, and whether the
+  // root is analyzed or replayed from the store.
   const char *SelfMark =
       "sm selfmark;  decl any_arguments args;\n"
       "start:  { mark(args) } && ${ mc_annotated(\"SEEN\") } ==> start, "
@@ -249,11 +248,10 @@ TEST(ParallelDeterminismTest, RootsSeeOnlyTheirOwnAnnotations) {
       "      | { mark(args) } ==> other, { annotate(\"SEEN\"); } ;\n";
   const std::string Decls = "void mark(int x); void flip(void);\n"
                             "void helper(int v) { mark(v); }\n";
-  const std::string TwoRoots = writeTemp(
-      "pdt_selfmark.c", Decls + "void r1(void) { helper(1); }\n"
-                                "void r2(void) { flip(); helper(2); }\n");
+  const std::string Report =
+      ":2: in helper: [selfmark] mark reached by an earlier root "
+      "(interprocedural, depth 1)\n";
   const std::string Store = ::testing::TempDir() + "/pdt_selfmark_store";
-  std::filesystem::remove_all(Store);
   uint64_t StoreHits = 0;
   auto Render = [&](const std::string &Path, EngineOptions Opts,
                     bool Cached) {
@@ -270,17 +268,43 @@ TEST(ParallelDeterminismTest, RootsSeeOnlyTheirOwnAnnotations) {
     Tool.reports().print(OS, RankPolicy::Generic);
     return Out;
   };
-  EngineOptions Opts;
-  const std::string Serial = Render(TwoRoots, Opts, false);
-  EXPECT_EQ(Serial, ""); // No reports.
-  for (unsigned Jobs : {2u, 4u}) {
-    Opts.Jobs = Jobs;
-    EXPECT_EQ(Render(TwoRoots, Opts, false), Serial) << "jobs=" << Jobs;
+  struct Input {
+    const char *File;
+    const char *Roots;
+    bool Reports;
+  };
+  const Input Inputs[] = {
+      // r1 and r2 reach the same call in helper (r2 after flip(), so helper
+      // is walked again in another state instead of replayed from its
+      // summary): neither sees the other's mark.
+      {"pdt_selfmark.c",
+       "void r1(void) { helper(1); }\n"
+       "void r2(void) { flip(); helper(2); }\n",
+       false},
+      // r1 walks helper in `other`; r2 marks the call in `start`, then
+      // reaches it in `other` and sees its own mark. r1's summary of helper
+      // in `other` must not stand in for r2's walk: one report.
+      {"pdt_selfmark_mirror.c",
+       "void r1(void) { flip(); helper(1); }\n"
+       "void r2(void) { helper(0); flip(); helper(2); }\n",
+       true},
+  };
+  for (const Input &In : Inputs) {
+    const std::string Path = writeTemp(In.File, Decls + In.Roots);
+    const std::string Expected = In.Reports ? "[1] " + Path + Report : "";
+    EngineOptions Opts;
+    for (unsigned Jobs : {1u, 2u, 4u}) {
+      Opts.Jobs = Jobs;
+      EXPECT_EQ(Render(Path, Opts, false), Expected)
+          << In.File << " jobs=" << Jobs;
+      std::filesystem::remove_all(Store);
+      EXPECT_EQ(Render(Path, Opts, true), Expected)
+          << In.File << " cold, jobs=" << Jobs;
+      EXPECT_EQ(Render(Path, Opts, true), Expected)
+          << In.File << " warm, jobs=" << Jobs;
+      EXPECT_EQ(StoreHits, 2u) << In.File << " warm, jobs=" << Jobs;
+    }
   }
-  // Cold and warm store runs, at --jobs 4.
-  EXPECT_EQ(Render(TwoRoots, Opts, true), Serial) << "cold";
-  EXPECT_EQ(Render(TwoRoots, Opts, true), Serial) << "warm";
-  EXPECT_EQ(StoreHits, 2u) << "warm";
   std::filesystem::remove_all(Store);
 
   // A root still sees its own writes: one root reaching the call twice
@@ -288,12 +312,9 @@ TEST(ParallelDeterminismTest, RootsSeeOnlyTheirOwnAnnotations) {
   const std::string OneRoot =
       writeTemp("pdt_selfmark_one.c",
                 Decls + "void r1(void) { helper(1); helper(2); }\n");
-  Opts.Jobs = 1;
+  EngineOptions Opts;
   Opts.EnableFunctionSummaries = false;
-  EXPECT_EQ(Render(OneRoot, Opts, false),
-            "[1] " + OneRoot +
-                ":2: in helper: [selfmark] mark reached by an earlier root "
-                "(interprocedural, depth 1)\n");
+  EXPECT_EQ(Render(OneRoot, Opts, false), "[1] " + OneRoot + Report);
 }
 
 TEST(ParallelDeterminismTest, PathBudgetIsPerWorker) {
