@@ -12,10 +12,11 @@
 ///   BENCH_JSON {"bench":"corpus","wall_ms":412.8,"stmts_per_s":91244.0,...}
 ///
 /// The shared schema: "bench" (name), "wall_ms", "stmts_per_s" (program
-/// points visited per second; 0 when the bench runs no engine), the engine
-/// cache + dispatch-index + arena counters, "peak_rss_kb" (appended to every
-/// line at emit time), and "ok" (the bench's own pass/fail verdict). Benches
-/// append extra fields as needed.
+/// points visited per second; 0 when the bench runs no engine), "metrics"
+/// (the run's counters by dotted name, from engine(); absent when the bench
+/// runs no engine), "peak_rss_kb" (appended to every line at emit time), and
+/// "ok" (the bench's own pass/fail verdict). Benches append extra fields as
+/// needed; engine counters appear only under "metrics".
 ///
 /// The header also hosts the --smoke convention: every bench accepts the
 /// flag and shrinks to a tiny corpus / skips its heavyweight sections so the
@@ -26,8 +27,8 @@
 #ifndef MC_BENCH_BENCHJSON_H
 #define MC_BENCH_BENCHJSON_H
 
-#include "engine/Engine.h"
 #include "support/Json.h"
+#include "support/Metrics.h"
 #include "support/RawOstream.h"
 
 #include <algorithm>
@@ -95,17 +96,10 @@ public:
     return *this;
   }
 
-  /// The shared counter block, in manifest schema: the historical flat keys
-  /// (the BenchKey column of MC_ENGINE_METRICS, in the historical order)
-  /// plus the full dotted-name snapshot nested under "metrics" — the same
-  /// map --stats-json carries, so bench output and run manifests can be
-  /// joined by one consumer.
+  /// The shared counter block: the dotted-name snapshot nested under
+  /// "metrics" — the same map --stats-json carries, so bench output and run
+  /// manifests can be joined by one consumer.
   BenchJson &engine(const MetricsSnapshot &M) {
-#define MC_METRIC_BENCH(Field, DottedName, StatsKey, BenchKey)                 \
-  if (*BenchKey)                                                               \
-    count(BenchKey, M.value(DottedName));
-    MC_ENGINE_METRICS(MC_METRIC_BENCH)
-#undef MC_METRIC_BENCH
     beginField("metrics");
     Buf += '{';
     bool First = true;
@@ -121,10 +115,6 @@ public:
     Buf += '}';
     return *this;
   }
-
-  /// Legacy-typed convenience: EngineStats is a snapshot view, so route it
-  /// through the snapshot emitter.
-  BenchJson &engine(const EngineStats &S) { return engine(S.toMetrics()); }
 
   /// Emits the line, appending "peak_rss_kb" (sampled at emit time so it
   /// covers the whole measured run) to every record.
@@ -171,9 +161,11 @@ inline double median(std::vector<double> Samples) {
                             : (Samples[Mid - 1] + Samples[Mid]) / 2;
 }
 
-/// Program points per second, guarding the zero-duration corner.
-inline double stmtsPerSec(uint64_t Points, double Seconds) {
-  return double(Points) / (Seconds > 0 ? Seconds : 1e-9);
+/// Program points visited per second (the "stmts_per_s" field) of the run
+/// \p M counts, guarding the zero-duration corner.
+inline double stmtsPerSec(const MetricsSnapshot &M, double Seconds) {
+  return double(M.value("engine.points.visited")) /
+         (Seconds > 0 ? Seconds : 1e-9);
 }
 
 /// Detects --smoke and strips it from argv so leftover arguments can still

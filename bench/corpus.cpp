@@ -85,15 +85,16 @@ int main(int argc, char **argv) {
   OS.printf("null          | %6u | %5u | %u\n", MK.SeededNullDerefs, FoundNull,
             Size("null"));
 
-  const EngineStats &S = Tool.stats();
+  const MetricsSnapshot S = Tool.metrics();
   double Parse = seconds(T0, T1), Analyze = seconds(T1, T2);
   OS.printf("\nparse: %.3fs, analyze (3 checkers): %.3fs  (%.0f lines/s "
             "analyzed)\n",
             Parse, Analyze, 3 * MK.Lines / (Analyze > 0 ? Analyze : 1e-9));
-  OS << "points=" << S.PointsVisited << " paths=" << S.PathsExplored
-     << " cache-hits=" << S.BlockCacheHits
-     << " fn-hits=" << S.FunctionCacheHits << " pruned=" << S.PathsPruned
-     << '\n';
+  OS << "points=" << S.value("engine.points.visited")
+     << " paths=" << S.value("engine.paths.explored")
+     << " cache-hits=" << S.value("engine.cache.block_hits")
+     << " fn-hits=" << S.value("engine.cache.function_hits")
+     << " pruned=" << S.value("engine.paths.pruned") << '\n';
 
   // The two-pass pipeline (Section 6 step 1-2): emit ASTs, reload, analyze.
   OS << "\n==== Two-pass pipeline (.mast emission) ====\n";
@@ -155,7 +156,7 @@ int main(int argc, char **argv) {
 
   BenchJson("corpus")
       .num("wall_ms", Timer.ms())
-      .num("stmts_per_s", stmtsPerSec(S.PointsVisited, Analyze))
+      .num("stmts_per_s", stmtsPerSec(S, Analyze))
       .engine(S)
       .flag("ok", Ok)
       .emit(OS);

@@ -86,7 +86,7 @@ std::string dispatchCorpus(unsigned Functions, unsigned StmtsPerFn,
 
 struct RunResult {
   double AnalyzeSecs = 0;
-  EngineStats Stats;
+  MetricsSnapshot Stats;
   std::string Rendered;
   size_t NumReports = 0;
   size_t NumIncidents = 0;
@@ -110,7 +110,7 @@ RunResult runSuite(const std::string &Source,
   BenchTimer T;
   Tool.run(Opts);
   Res.AnalyzeSecs = T.seconds();
-  Res.Stats = Tool.stats();
+  Res.Stats = Tool.metrics();
   raw_string_ostream OS(Res.Rendered);
   Tool.reports().print(OS, RankPolicy::Generic);
   Res.NumReports = Tool.reports().size();
@@ -135,7 +135,7 @@ RunResult runInjector(const std::string &Source, FaultInjectorChecker::Mode M) {
   BenchTimer T;
   Tool.run(EngineOptions());
   Res.AnalyzeSecs = T.seconds();
-  Res.Stats = Tool.stats();
+  Res.Stats = Tool.metrics();
   raw_string_ostream OS(Res.Rendered);
   Tool.reports().print(OS, RankPolicy::Generic);
   Res.NumReports = Tool.reports().size();
@@ -204,7 +204,8 @@ int main(int argc, char **argv) {
           ? (Armed.AnalyzeSecs - Base.AnalyzeSecs) / Base.AnalyzeSecs * 100.0
           : 0;
   bool SameOutput = Base.Rendered == Armed.Rendered;
-  bool NoIncidents = Armed.NumIncidents == 0 && Armed.Stats.DeadlineHits == 0;
+  bool NoIncidents = Armed.NumIncidents == 0 &&
+                     Armed.Stats.value("engine.deadline.hits") == 0;
   OS.printf("idle overhead: %.2f ms baseline -> %.2f ms armed (%+.2f%%), "
             "reports %s, incidents %zu\n",
             Base.AnalyzeSecs * 1e3, Armed.AnalyzeSecs * 1e3, OverheadPct,
@@ -250,8 +251,7 @@ int main(int argc, char **argv) {
 
   BenchJson("fault_containment")
       .num("wall_ms", Timer.ms())
-      .num("stmts_per_s",
-           stmtsPerSec(Armed.Stats.PointsVisited, Armed.AnalyzeSecs))
+      .num("stmts_per_s", stmtsPerSec(Armed.Stats, Armed.AnalyzeSecs))
       .num("overhead_pct", OverheadPct)
       .count("faulty_roots", FaultyRoots)
       .count("surviving_reports", Sabotaged.NumReports)

@@ -56,7 +56,9 @@ int main(int argc, char **argv) {
 
   OS << "---- reports ----\n";
   Tool.reports().print(OS, RankPolicy::Generic);
-  const EngineStats &S = Tool.stats();
+  const MetricsSnapshot S = Tool.metrics();
+  const uint64_t Pruned = S.value("engine.paths.pruned");
+  const uint64_t Paths = S.value("engine.paths.explored");
   OS << "\n---- paper claims vs measured ----\n";
 
   bool TwoErrors = Tool.reports().size() == 2;
@@ -73,21 +75,21 @@ int main(int argc, char **argv) {
   OS << "step 12 (w flagged back in the caller):            "
      << (WError ? "yes" : "NO") << '\n';
   OS << "steps 8+10 (two infeasible paths pruned):          "
-     << (S.PathsPruned >= 2 ? "yes" : "NO") << " (" << S.PathsPruned << ")\n";
+     << (Pruned >= 2 ? "yes" : "NO") << " (" << Pruned << ")\n";
   OS << "step 7 (p killed at `p = 0`):                      "
-     << (S.KillsApplied >= 1 ? "yes" : "NO") << '\n';
+     << (S.value("engine.kills.applied") >= 1 ? "yes" : "NO") << '\n';
   OS << "step 6 (synonym instance created for q):           "
-     << (S.SynonymsCreated >= 1 ? "yes" : "NO") << '\n';
+     << (S.value("engine.synonyms.created") >= 1 ? "yes" : "NO") << '\n';
   OS << "only two executable paths through contrived:       "
-     << (S.PathsExplored <= 4 ? "yes" : "NO") << " (" << S.PathsExplored
+     << (Paths <= 4 ? "yes" : "NO") << " (" << Paths
      << " total paths incl. caller)\n";
 
-  bool Ok = TwoErrors && QError && WError && S.PathsPruned >= 2;
+  bool Ok = TwoErrors && QError && WError && Pruned >= 2;
   OS << '\n' << (Ok ? "FIGURE 2 TRACE REPRODUCED\n" : "MISMATCH\n");
 
   BenchJson("fig2_trace")
       .num("wall_ms", Timer.ms())
-      .num("stmts_per_s", stmtsPerSec(S.PointsVisited, Timer.seconds()))
+      .num("stmts_per_s", stmtsPerSec(S, Timer.seconds()))
       .engine(S)
       .flag("ok", Ok)
       .emit(OS);

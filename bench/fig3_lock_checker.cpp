@@ -71,10 +71,10 @@ int trylock_both_paths_ok(int *l) {
   bool Ok = R1 && R2 && R3 && CleanTry;
   OS << '\n' << (Ok ? "FIGURE 3 REPRODUCED\n" : "MISMATCH\n");
 
-  const EngineStats &S = Tool.stats();
+  const MetricsSnapshot S = Tool.metrics();
   BenchJson("fig3_lock_checker")
       .num("wall_ms", Timer.ms())
-      .num("stmts_per_s", stmtsPerSec(S.PointsVisited, Timer.seconds()))
+      .num("stmts_per_s", stmtsPerSec(S, Timer.seconds()))
       .engine(S)
       .flag("ok", Ok)
       .emit(OS);

@@ -30,7 +30,7 @@ using namespace mc::bench;
 
 namespace {
 
-EngineStats runOnce(const std::string &Source, bool Cache) {
+MetricsSnapshot runOnce(const std::string &Source, bool Cache) {
   XgccTool Tool;
   Tool.addSource("w.c", Source);
   Tool.addBuiltinChecker("free");
@@ -39,25 +39,25 @@ EngineStats runOnce(const std::string &Source, bool Cache) {
   Opts.EnableFalsePathPruning = false; // the conditions are opaque anyway
   Opts.MaxPathsPerFunction = 1u << 22;
   Tool.run(Opts);
-  return Tool.stats();
+  return Tool.metrics();
 }
 
 void BM_DiamondsCached(benchmark::State &State) {
   std::string Source = diamondCorpus(1, State.range(0), /*SeedBugs=*/true);
-  EngineStats S;
+  MetricsSnapshot S;
   for (auto _ : State)
     S = runOnce(Source, /*Cache=*/true);
-  State.counters["paths"] = S.PathsExplored;
-  State.counters["blocks"] = S.BlocksVisited;
+  State.counters["paths"] = S.value("engine.paths.explored");
+  State.counters["blocks"] = S.value("engine.blocks.visited");
 }
 
 void BM_DiamondsUncached(benchmark::State &State) {
   std::string Source = diamondCorpus(1, State.range(0), /*SeedBugs=*/true);
-  EngineStats S;
+  MetricsSnapshot S;
   for (auto _ : State)
     S = runOnce(Source, /*Cache=*/false);
-  State.counters["paths"] = S.PathsExplored;
-  State.counters["blocks"] = S.BlocksVisited;
+  State.counters["paths"] = S.value("engine.paths.explored");
+  State.counters["blocks"] = S.value("engine.blocks.visited");
 }
 
 BENCHMARK(BM_DiamondsCached)->DenseRange(4, 16, 4)->Unit(benchmark::kMillisecond);
@@ -105,15 +105,16 @@ int main(int argc, char **argv) {
             : std::vector<unsigned>{4u, 8u, 12u, 16u};
   for (unsigned D : Depths) {
     std::string Source = diamondCorpus(1, D, true);
-    EngineStats On = runOnce(Source, true);
-    EngineStats Off = runOnce(Source, false);
-    OS.printf("%8u | %14llu | %12llu\n", D,
-              (unsigned long long)Off.PathsExplored,
-              (unsigned long long)On.PathsExplored);
-    Shape &= Off.PathsExplored >= (1ull << D); // exponential
-    Shape &= On.PathsExplored <= 4ull * D + 8; // linear-ish
-    Agg.merge(On.toMetrics());
-    Agg.merge(Off.toMetrics());
+    MetricsSnapshot On = runOnce(Source, true);
+    MetricsSnapshot Off = runOnce(Source, false);
+    uint64_t OnPaths = On.value("engine.paths.explored");
+    uint64_t OffPaths = Off.value("engine.paths.explored");
+    OS.printf("%8u | %14llu | %12llu\n", D, (unsigned long long)OffPaths,
+              (unsigned long long)OnPaths);
+    Shape &= OffPaths >= (1ull << D); // exponential
+    Shape &= OnPaths <= 4ull * D + 8; // linear-ish
+    Agg.merge(On);
+    Agg.merge(Off);
   }
   OS << (Shape ? "shape: uncached grows exponentially, cached stays linear\n"
                : "UNEXPECTED SHAPE\n");
@@ -152,7 +153,7 @@ int main(int argc, char **argv) {
       .count("cache_ast_misses", Agg.value(kCacheAstMisses))
       .count("cache_summary_hits", Agg.value(kCacheSummaryHits))
       .count("cache_summary_misses", Agg.value(kCacheSummaryMisses))
-      .num("stmts_per_s", stmtsPerSec(Agg.value("engine.points.visited"), Timer.seconds()))
+      .num("stmts_per_s", stmtsPerSec(Agg, Timer.seconds()))
       .engine(Agg)
       .flag("ok", Ok)
       .emit(OS);

@@ -115,10 +115,10 @@ int main(int argc, char **argv) {
   bool Ok = !SuffixMentionsQ && !SuffixEndsInStop && SawP && SawW;
   OS << '\n' << (Ok ? "FIGURE 5 REPRODUCED\n" : "MISMATCH\n");
 
-  const EngineStats S = Eng.stats();
+  const MetricsSnapshot S = Eng.metrics().snapshot();
   BenchJson("fig5_summaries")
       .num("wall_ms", Timer.ms())
-      .num("stmts_per_s", stmtsPerSec(S.PointsVisited, Timer.seconds()))
+      .num("stmts_per_s", stmtsPerSec(S, Timer.seconds()))
       .engine(S)
       .flag("ok", Ok)
       .emit(OS);

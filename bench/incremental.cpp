@@ -170,8 +170,7 @@ int main(int argc, char **argv) {
       .count("cache_ast_misses", Agg.value(kCacheAstMisses))
       .count("cache_summary_hits", Agg.value(kCacheSummaryHits))
       .count("cache_summary_misses", Agg.value(kCacheSummaryMisses))
-      .num("stmts_per_s",
-           stmtsPerSec(Agg.value("engine.points.visited"), Timer.seconds()))
+      .num("stmts_per_s", stmtsPerSec(Agg, Timer.seconds()))
       .engine(Agg)
       .flag("ok", Ok)
       .emit(OS);

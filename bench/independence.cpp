@@ -38,12 +38,12 @@ std::string instancesWorkload(unsigned Instances, unsigned Diamonds) {
   return S;
 }
 
-EngineStats measure(unsigned Instances) {
+MetricsSnapshot measure(unsigned Instances) {
   XgccTool Tool;
   Tool.addSource("w.c", instancesWorkload(Instances, 6));
   Tool.addBuiltinChecker("free");
   Tool.run();
-  return Tool.stats();
+  return Tool.metrics();
 }
 
 void BM_TrackedInstances(benchmark::State &State) {
@@ -72,15 +72,15 @@ int main(int argc, char **argv) {
   uint64_t Blocks1 = 0, Blocks32 = 0;
   MetricsSnapshot Agg;
   for (unsigned N : {1u, 2u, 4u, 8u, 16u, 32u}) {
-    EngineStats S = measure(N);
-    OS.printf("%9u | %14llu | %14llu\n", N,
-              (unsigned long long)S.BlocksVisited,
-              (unsigned long long)S.PointsVisited);
+    MetricsSnapshot S = measure(N);
+    uint64_t Blocks = S.value("engine.blocks.visited");
+    OS.printf("%9u | %14llu | %14llu\n", N, (unsigned long long)Blocks,
+              (unsigned long long)S.value("engine.points.visited"));
     if (N == 1)
-      Blocks1 = S.BlocksVisited;
+      Blocks1 = Blocks;
     if (N == 32)
-      Blocks32 = S.BlocksVisited;
-    Agg.merge(S.toMetrics());
+      Blocks32 = Blocks;
+    Agg.merge(S);
   }
   // 32x the instances must cost far less than 32x the block traversals
   // (they ride the same paths); allow generous slack for the extra tuples.
@@ -91,7 +91,7 @@ int main(int argc, char **argv) {
 
   BenchJson("independence")
       .num("wall_ms", Timer.ms())
-      .num("stmts_per_s", stmtsPerSec(Agg.value("engine.points.visited"), Timer.seconds()))
+      .num("stmts_per_s", stmtsPerSec(Agg, Timer.seconds()))
       .engine(Agg)
       .flag("ok", Linear)
       .emit(OS);

@@ -24,8 +24,8 @@ using namespace mc::bench;
 namespace {
 
 /// `Callers` roots each call a shared `Depth`-deep utility chain.
-EngineStats measure(unsigned Depth, unsigned Callers, bool Summaries,
-                    unsigned *ReportsOut = nullptr) {
+MetricsSnapshot measure(unsigned Depth, unsigned Callers, bool Summaries,
+                        unsigned *ReportsOut = nullptr) {
   XgccTool Tool;
   Tool.addSource("w.c", callChainCorpus(Depth, Callers));
   Tool.addBuiltinChecker("free");
@@ -35,7 +35,7 @@ EngineStats measure(unsigned Depth, unsigned Callers, bool Summaries,
   Tool.run(Opts);
   if (ReportsOut)
     *ReportsOut = Tool.reports().size();
-  return Tool.stats();
+  return Tool.metrics();
 }
 
 void BM_CallChainSummaries(benchmark::State &State) {
@@ -68,19 +68,20 @@ int main(int argc, char **argv) {
   MetricsSnapshot Agg;
   for (unsigned Callers : {2u, 4u, 8u, 16u}) {
     unsigned RepOn = 0, RepOff = 0;
-    EngineStats On = measure(12, Callers, true, &RepOn);
-    EngineStats Off = measure(12, Callers, false, &RepOff);
-    Agg.merge(On.toMetrics());
-    Agg.merge(Off.toMetrics());
+    MetricsSnapshot On = measure(12, Callers, true, &RepOn);
+    MetricsSnapshot Off = measure(12, Callers, false, &RepOff);
+    Agg.merge(On);
+    Agg.merge(Off);
+    uint64_t OnAnalyses = On.value("engine.functions.analyzed");
+    uint64_t OffAnalyses = Off.value("engine.functions.analyzed");
     OS.printf("%7u | %23llu | %25llu | %12llu\n", Callers,
-              (unsigned long long)On.FunctionAnalyses,
-              (unsigned long long)Off.FunctionAnalyses,
-              (unsigned long long)On.FunctionCacheHits);
+              (unsigned long long)OnAnalyses, (unsigned long long)OffAnalyses,
+              (unsigned long long)On.value("engine.cache.function_hits"));
     // Same bugs either way.
     Shape &= RepOn == Callers && RepOff == Callers;
     // With summaries the chain is analysed roughly once; without, the work
     // grows with the number of callers.
-    Shape &= On.FunctionAnalyses < Off.FunctionAnalyses;
+    Shape &= OnAnalyses < OffAnalyses;
   }
   OS << (Shape ? "shape: summaries amortize the callee chain across callers\n"
                : "UNEXPECTED SHAPE\n");
@@ -97,7 +98,8 @@ int main(int argc, char **argv) {
                           "int clean_caller(int *b) { return leaf(b); }\n");
     Tool.addBuiltinChecker("free");
     Tool.run();
-    OS << "leaf analysed " << Tool.stats().FunctionAnalyses - 2
+    OS << "leaf analysed "
+       << Tool.metrics().value("engine.functions.analyzed") - 2
        << "x (for 2 distinct incoming states), reports: "
        << Tool.reports().size() << " (expect 1)\n";
     Shape &= Tool.reports().size() == 1;
@@ -107,8 +109,7 @@ int main(int argc, char **argv) {
 
   BenchJson("interproc")
       .num("wall_ms", Timer.ms())
-      .num("stmts_per_s",
-           stmtsPerSec(Agg.value("engine.points.visited"), Timer.seconds()))
+      .num("stmts_per_s", stmtsPerSec(Agg, Timer.seconds()))
       .engine(Agg)
       .flag("ok", Shape)
       .emit(OS);

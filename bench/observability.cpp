@@ -283,8 +283,7 @@ int main(int argc, char **argv) {
 
   BenchJson("observability")
       .num("wall_ms", Timer.ms())
-      .num("stmts_per_s", stmtsPerSec(On1.Metrics.value("engine.points.visited"),
-                                      On1.AnalyzeSecs))
+      .num("stmts_per_s", stmtsPerSec(On1.Metrics, On1.AnalyzeSecs))
       .num("overhead_pct", OverheadPct)
       .num("witness_overhead_pct", WitnessPct)
       .count("witnesses", WOn.WitnessCount)

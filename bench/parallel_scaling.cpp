@@ -40,7 +40,7 @@ struct RunResult {
   double ParseSecs = 0;
   double AnalyzeSecs = 0;
   std::string Rendered;
-  EngineStats Stats;
+  MetricsSnapshot Stats;
   size_t Reports = 0;
 };
 
@@ -65,7 +65,7 @@ RunResult runAt(const std::string &Source, unsigned Jobs) {
   RR.AnalyzeSecs = seconds(T1, T2);
   raw_string_ostream OS(RR.Rendered);
   Tool.reports().print(OS, RankPolicy::Generic);
-  RR.Stats = Tool.stats();
+  RR.Stats = Tool.metrics();
   RR.Reports = Tool.reports().size();
   return RR;
 }
@@ -155,7 +155,7 @@ int main(int argc, char **argv) {
 
   BenchJson("parallel_scaling")
       .num("wall_ms", Timer.ms())
-      .num("stmts_per_s", stmtsPerSec(Base.Stats.PointsVisited, BaseSecs))
+      .num("stmts_per_s", stmtsPerSec(Base.Stats, BaseSecs))
       .num("speedup_at_4", SpeedupAt4)
       .engine(Base.Stats)
       .flag("ok", Ok)

@@ -80,7 +80,7 @@ std::string dispatchCorpus(unsigned Functions, unsigned StmtsPerFn,
 
 struct RunResult {
   double AnalyzeSecs = 0;
-  EngineStats Stats;
+  MetricsSnapshot Stats;
   std::string Rendered;
 };
 
@@ -103,7 +103,7 @@ RunResult runSuite(const std::string &Source,
     double Secs = T.seconds();
     if (R == 0 || Secs < Best.AnalyzeSecs) {
       Best.AnalyzeSecs = Secs;
-      Best.Stats = Tool.stats();
+      Best.Stats = Tool.metrics();
       raw_string_ostream OS(Best.Rendered);
       Best.Rendered.clear();
       Tool.reports().print(OS, RankPolicy::Generic);
@@ -153,7 +153,10 @@ int main(int argc, char **argv) {
     // Byte-identical reports and identical engine work are the soundness
     // side of the gate: the index may only skip provably-unmatchable tries.
     bool SameReports = Naive.Rendered == Indexed.Rendered;
-    bool SameWork = Naive.Stats.PointsVisited == Indexed.Stats.PointsVisited;
+    bool SameWork = Naive.Stats.value("engine.points.visited") ==
+                    Indexed.Stats.value("engine.points.visited");
+    uint64_t Tried = Indexed.Stats.value("index.candidates.tried");
+    uint64_t Skipped = Indexed.Stats.value("index.transitions.skipped");
     // Naive mode tries every live transition; indexed mode reports how many
     // candidate patterns actually reached the matcher.
     OS.printf("%8u | %10.2f | %12.2f | %6.2fx | reports %s, points %s, "
@@ -161,9 +164,7 @@ int main(int argc, char **argv) {
               N, Naive.AnalyzeSecs * 1e3, Indexed.AnalyzeSecs * 1e3, Speedup,
               SameReports ? "identical" : "DIFFER",
               SameWork ? "identical" : "DIFFER",
-              (unsigned long long)Indexed.Stats.IndexCandidatesTried,
-              (unsigned long long)(Indexed.Stats.IndexCandidatesTried +
-                                   Indexed.Stats.IndexTransitionsSkipped));
+              (unsigned long long)Tried, (unsigned long long)(Tried + Skipped));
     Ok &= SameReports && SameWork && !Naive.Rendered.empty();
     if (N == MaxCheckers) {
       SpeedupAtMax = Speedup;
@@ -207,23 +208,22 @@ int main(int argc, char **argv) {
 
   BenchJson("pattern_dispatch_indexed")
       .num("wall_ms", IndexedAtMax.AnalyzeSecs * 1e3)
-      .num("stmts_per_s", stmtsPerSec(IndexedAtMax.Stats.PointsVisited,
-                                      IndexedAtMax.AnalyzeSecs))
+      .num("stmts_per_s",
+           stmtsPerSec(IndexedAtMax.Stats, IndexedAtMax.AnalyzeSecs))
       .engine(IndexedAtMax.Stats)
       .flag("ok", Ok)
       .emit(OS);
   BenchJson("pattern_dispatch_naive")
       .num("wall_ms", NaiveAtMax.AnalyzeSecs * 1e3)
-      .num("stmts_per_s", stmtsPerSec(NaiveAtMax.Stats.PointsVisited,
-                                      NaiveAtMax.AnalyzeSecs))
+      .num("stmts_per_s", stmtsPerSec(NaiveAtMax.Stats, NaiveAtMax.AnalyzeSecs))
       .num("speedup", SpeedupAtMax)
       .engine(NaiveAtMax.Stats)
       .flag("ok", Ok)
       .emit(OS);
   BenchJson("pattern_dispatch")
       .num("wall_ms", Timer.ms())
-      .num("stmts_per_s", stmtsPerSec(IndexedAtMax.Stats.PointsVisited,
-                                      IndexedAtMax.AnalyzeSecs))
+      .num("stmts_per_s",
+           stmtsPerSec(IndexedAtMax.Stats, IndexedAtMax.AnalyzeSecs))
       .num("speedup", SpeedupAtMax)
       .engine(IndexedAtMax.Stats)
       .flag("ok", Ok)

@@ -116,7 +116,7 @@ int main(int argc, char **argv) {
   OS << "==== Incremental cost per additional checker ("
      << MK.Functions << "-fn corpus) ====\n";
   uint64_t PrevPoints = 0;
-  EngineStats Last;
+  MetricsSnapshot Last;
   std::vector<std::string> Names = builtinCheckerNames();
   for (size_t N = 1; N <= Names.size(); ++N) {
     XgccTool Tool;
@@ -124,17 +124,18 @@ int main(int argc, char **argv) {
     for (size_t I = 0; I < N; ++I)
       Tool.addBuiltinChecker(Names[I]);
     Tool.run();
+    Last = Tool.metrics();
+    uint64_t Points = Last.value("engine.points.visited");
     OS.printf("%zu checker(s): %8llu points visited (+%llu)\n", N,
-              (unsigned long long)Tool.stats().PointsVisited,
-              (unsigned long long)(Tool.stats().PointsVisited - PrevPoints));
-    PrevPoints = Tool.stats().PointsVisited;
-    Last = Tool.stats();
+              (unsigned long long)Points,
+              (unsigned long long)(Points - PrevPoints));
+    PrevPoints = Points;
   }
   OS << '\n';
 
   BenchJson("patterns")
       .num("wall_ms", Timer.ms())
-      .num("stmts_per_s", stmtsPerSec(Last.PointsVisited, Timer.seconds()))
+      .num("stmts_per_s", stmtsPerSec(Last, Timer.seconds()))
       .engine(Last)
       .flag("ok", true)
       .emit(OS);

@@ -188,8 +188,7 @@ int main(int argc, char **argv) {
   Agg.merge(LockTool.metrics());
   BenchJson("ranking")
       .num("wall_ms", Timer.ms())
-      .num("stmts_per_s",
-           stmtsPerSec(Agg.value("engine.points.visited"), Timer.seconds()))
+      .num("stmts_per_s", stmtsPerSec(Agg, Timer.seconds()))
       .engine(Agg)
       .flag("ok", Shape && LockShape)
       .emit(OS);

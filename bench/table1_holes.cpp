@@ -138,7 +138,6 @@ int main(int argc, char **argv) {
   BenchJson("table1_holes")
       .num("wall_ms", Timer.ms())
       .num("stmts_per_s", 0)
-      .engine(EngineStats())
       .flag("ok", TableHolds)
       .emit(OS);
   return TableHolds ? 0 : 1;

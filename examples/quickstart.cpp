@@ -64,13 +64,15 @@ int main() {
   OS << "=== Reports (generic ranking) ===\n";
   Tool.reports().print(OS, RankPolicy::Generic);
 
-  const EngineStats &S = Tool.stats();
+  // Engine counters are read by their dotted names (support/Metrics.h).
+  const MetricsSnapshot S = Tool.metrics();
   OS << "\n=== Engine work ===\n";
-  OS << "program points visited: " << S.PointsVisited << '\n';
-  OS << "paths explored:         " << S.PathsExplored << '\n';
-  OS << "false paths pruned:     " << S.PathsPruned << '\n';
-  OS << "kills applied:          " << S.KillsApplied << '\n';
-  OS << "synonyms created:       " << S.SynonymsCreated << '\n';
+  OS << "program points visited: " << S.value("engine.points.visited") << '\n';
+  OS << "paths explored:         " << S.value("engine.paths.explored") << '\n';
+  OS << "false paths pruned:     " << S.value("engine.paths.pruned") << '\n';
+  OS << "kills applied:          " << S.value("engine.kills.applied") << '\n';
+  OS << "synonyms created:       " << S.value("engine.synonyms.created")
+     << '\n';
 
   //===------------------------------------------------------------------===//
   // 2. The same checker written against the native C++ API.

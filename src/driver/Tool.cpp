@@ -22,7 +22,7 @@ XgccTool::XgccTool(raw_ostream *DiagOS)
     : DiagOS(DiagOS ? *DiagOS : errs()), Diags(SM, &this->DiagOS),
       PP(std::make_unique<Preprocessor>(SM, Diags)) {}
 
-XgccTool::~XgccTool() = default;
+XgccTool::~XgccTool() { attachCache(nullptr); }
 
 bool XgccTool::addSource(const std::string &Name, const std::string &Text) {
   assert(!Finalized && "cannot add sources after finalize()");
@@ -205,15 +205,25 @@ bool XgccTool::addSourceFiles(const std::vector<std::string> &Paths,
 }
 
 void XgccTool::setCacheDir(const std::string &Dir) {
+  attachCache(nullptr);
   OwnedCache = std::make_unique<AnalysisCache>(Dir);
-  Cache = OwnedCache.get();
+  attachCache(OwnedCache.get());
   CacheBaseline = MetricsSnapshot();
 }
 
 void XgccTool::setSharedCache(AnalysisCache *Shared) {
+  attachCache(nullptr);
   OwnedCache.reset();
-  Cache = Shared;
+  attachCache(Shared);
   CacheBaseline = Shared ? Shared->counters() : MetricsSnapshot();
+}
+
+void XgccTool::attachCache(AnalysisCache *C) {
+  if (Cache)
+    Cache->setDiagOS(nullptr);
+  Cache = C;
+  if (Cache)
+    Cache->setDiagOS(&DiagOS);
 }
 
 void XgccTool::finishCache() {
@@ -700,10 +710,6 @@ void XgccTool::run(const EngineOptions &Opts) {
     CkSpan.arg("name", C->name());
     runShards(*C, Opts, Pool, Index++, SuiteFp);
   }
-}
-
-EngineStats XgccTool::stats() const {
-  return EngineStats::fromMetrics(metrics());
 }
 
 MetricsSnapshot XgccTool::metrics() const {

@@ -151,12 +151,11 @@ public:
   //===--------------------------------------------------------------------===//
 
   ReportManager &reports() { return Reports; }
-  /// Work counters accumulated over every run() call on this tool, summed
-  /// over the shard engines (long gone by then). A legacy view over
-  /// metrics().
-  EngineStats stats() const;
-  /// The full metrics snapshot (dotted names): everything stats() carries
-  /// plus per-checker attribution and checker-registered custom counters.
+  /// Everything counted over every run() call on this tool, by dotted name:
+  /// the engine counters summed over the shard engines (long gone by then),
+  /// per-checker attribution, checker-registered custom counters and this
+  /// tool's cache traffic. Read one counter as
+  /// metrics().value("engine.points.visited").
   MetricsSnapshot metrics() const;
   /// The unified run manifest for this tool's accumulated work: effective
   /// options, metrics snapshot, incident stream, report count.
@@ -255,6 +254,10 @@ private:
   /// logic goes through the raw pointer and never cares which.
   std::unique_ptr<AnalysisCache> OwnedCache;
   AnalysisCache *Cache = nullptr;
+  /// Makes \p C the cache in use (null = none): detaches the old one from
+  /// this tool's diagnostic stream and attaches the new one, so the store's
+  /// notes land in the log of the run that caused them.
+  void attachCache(AnalysisCache *C);
   /// Counter values at setSharedCache time; metrics() reports the delta for
   /// borrowed caches so request manifests stay per-request.
   MetricsSnapshot CacheBaseline;

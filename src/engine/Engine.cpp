@@ -420,20 +420,9 @@ public:
 
   void noteTransition(std::string_view Object, std::string_view From,
                       std::string_view To) override {
-    // The shape trail is always on: fingerprints must not depend on whether
-    // witness capture was requested. The journal below stays gated.
-    PS.Trail.mix(WitnessStep::Kind::Transition, Object, From, To);
-    if (!E.WitnessOn)
-      return;
-    WitnessStep S;
-    S.K = WitnessStep::Kind::Transition;
-    if (PI && PI->Point)
-      S.Loc = PI->Point->loc();
-    S.Depth = Depth;
-    S.Object = std::string(Object);
-    S.From = std::string(From);
-    S.To = std::string(To);
-    PS.Witness.append(std::move(S));
+    E.noteStep(PS, WitnessStep::Kind::Transition,
+               PI && PI->Point ? PI->Point->loc() : SourceLoc(), Depth, Object,
+               From, To);
   }
 
   const FunctionDecl *currentFunction() const override { return Fn; }
@@ -484,29 +473,11 @@ bool mc::parseFailPolicy(std::string_view Spelling, FailPolicy &Out) {
   return true;
 }
 
-EngineStats EngineStats::fromMetrics(const MetricsSnapshot &M) {
-  EngineStats S;
-#define MC_METRIC_READ(Field, DottedName, StatsKey, BenchKey)                  \
-  S.Field = M.value(DottedName);
-  MC_ENGINE_METRICS(MC_METRIC_READ)
-#undef MC_METRIC_READ
-  return S;
-}
-
-MetricsSnapshot EngineStats::toMetrics() const {
-  MetricsSnapshot M;
-#define MC_METRIC_WRITE(Field, DottedName, StatsKey, BenchKey)                 \
-  M.add(DottedName, Field);
-  MC_ENGINE_METRICS(MC_METRIC_WRITE)
-#undef MC_METRIC_WRITE
-  return M;
-}
-
 Engine::Engine(ASTContext &Ctx, const SourceManager &SM, const CallGraph &CG,
                EngineOptions Opts, TraceCollector *Trace,
                const AnnotationMap *Earlier)
     : Ctx(Ctx), SM(SM), CG(CG), Opts(Opts), Trace(Trace), Earlier(Earlier) {
-#define MC_METRIC_INIT(Field, DottedName, StatsKey, BenchKey)                  \
+#define MC_METRIC_INIT(Field, DottedName, StatsKey)                            \
   Ctr.Field = Metrics.counter(DottedName);
   MC_ENGINE_METRICS(MC_METRIC_INIT)
 #undef MC_METRIC_INIT
@@ -516,8 +487,13 @@ Engine::Engine(ASTContext &Ctx, const SourceManager &SM, const CallGraph &CG,
 
 Engine::~Engine() = default;
 
-EngineStats Engine::stats() const {
-  return EngineStats::fromMetrics(Metrics.snapshot());
+void Engine::noteStep(PathState &PS, WitnessStep::Kind K, SourceLoc Loc,
+                      unsigned Depth, std::string_view Object,
+                      std::string_view From, std::string_view To) const {
+  PS.Trail.mix(K, Object, From, To);
+  if (WitnessOn)
+    PS.Witness.append(WitnessStep{K, Loc, Depth, std::string(Object),
+                                  std::string(From), std::string(To)});
 }
 
 void Engine::refreshCheckerCells(const Checker &Ck) {
@@ -652,23 +628,11 @@ void Engine::handleAssignment(PathState &PS, ValueTracker &VT, const Expr *LHS,
   const Expr *LHSStripped = stripCasts(LHS);
   if (!LHSStripped)
     return;
-  // Rebind helper: LHS became an alias of a tracked object. The shape trail
-  // always records it (fingerprints are capture-independent); the witness
-  // journal only under capture.
-  auto NoteRebind = [&](const std::string &To, const std::string &From,
+  // Rebind step: LHS became an alias of a tracked object.
+  auto NoteRebind = [&](std::string_view To, std::string_view From,
                         int Value) {
-    std::string State = CurChecker->stateName(Value);
-    PS.Trail.mix(WitnessStep::Kind::Rebind, To, From, State);
-    if (!WitnessOn)
-      return;
-    WitnessStep S;
-    S.K = WitnessStep::Kind::Rebind;
-    S.Loc = LHSStripped->loc();
-    S.Depth = Depth;
-    S.Object = To;
-    S.From = From;
-    S.To = State;
-    PS.Witness.append(std::move(S));
+    noteStep(PS, WitnessStep::Kind::Rebind, LHSStripped->loc(), Depth, To,
+             From, CurChecker->stateName(Value));
   };
 
   // Killing variables and expressions: when a variable is defined, any
@@ -714,8 +678,8 @@ void Engine::handleAssignment(PathState &PS, ValueTracker &VT, const Expr *LHS,
         Clone.TreeKey = symbolize(exprKey(LHSStripped));
         Clone.CreatedAt = TopStmt;
         Clone.IndirectionDepth = SrcVS->IndirectionDepth + 1;
-        NoteRebind(std::string(symbolText(Clone.TreeKey)),
-                   std::string(symbolText(SrcVS->TreeKey)), Clone.Value);
+        NoteRebind(symbolText(Clone.TreeKey), symbolText(SrcVS->TreeKey),
+                   Clone.Value);
         PS.SMI.ActiveVars.push_back(std::move(Clone));
         bump(Ctr.SynonymsCreated);
         SynonymMade = true;
@@ -738,8 +702,8 @@ void Engine::handleAssignment(PathState &PS, ValueTracker &VT, const Expr *LHS,
         ValueTracker::RebindNote Note = VT.lastRebind();
         if (Note.Valid)
           if (const VarState *SrcVS = PS.SMI.findByKey(exprKey(Note.From)))
-            NoteRebind(exprKey(LHSStripped),
-                       std::string(symbolText(SrcVS->TreeKey)), SrcVS->Value);
+            NoteRebind(exprKey(LHSStripped), symbolText(SrcVS->TreeKey),
+                       SrcVS->Value);
       }
     }
   }
@@ -915,30 +879,19 @@ void Engine::processPoints(FrameCtx &Frame, const BasicBlock *B,
         PathState Copy = PS;
         int Value = Branch ? Eff.TrueValue : Eff.FalseValue;
         if (VarState *VS = Copy.SMI.findByKey(Eff.TreeKey)) {
-          if (VS->Value != Value) {
-            Copy.Trail.mix(WitnessStep::Kind::Transition,
-                           symbolText(Eff.TreeKey),
-                           CurChecker->stateName(VS->Value),
-                           CurChecker->stateName(Value));
-            if (WitnessOn)
-              Copy.Witness.append(WitnessStep{
-                  WitnessStep::Kind::Transition, PI.Point->loc(), Frame.Depth,
-                  std::string(symbolText(Eff.TreeKey)),
-                  CurChecker->stateName(VS->Value),
-                  CurChecker->stateName(Value)});
-          }
+          if (VS->Value != Value)
+            noteStep(Copy, WitnessStep::Kind::Transition, PI.Point->loc(),
+                     Frame.Depth, symbolText(Eff.TreeKey),
+                     CurChecker->stateName(VS->Value),
+                     CurChecker->stateName(Value));
           VS->Value = Value;
           Copy.SMI.sweepStopped();
         } else if (Value != StateStop && Eff.Tree) {
           ACtxImpl ACtx(*this, Copy, Frame.Fn, Frame.Depth, &PI);
           ACtx.createInstance(Eff.Tree, Value);
-          Copy.Trail.mix(WitnessStep::Kind::Transition, symbolText(Eff.TreeKey),
-                         "", CurChecker->stateName(Value));
-          if (WitnessOn)
-            Copy.Witness.append(WitnessStep{
-                WitnessStep::Kind::Transition, PI.Point->loc(), Frame.Depth,
-                std::string(symbolText(Eff.TreeKey)), "",
-                CurChecker->stateName(Value)});
+          noteStep(Copy, WitnessStep::Kind::Transition, PI.Point->loc(),
+                   Frame.Depth, symbolText(Eff.TreeKey), "",
+                   CurChecker->stateName(Value));
         }
         processPoints(Frame, B, EntrySnapshot, I + 1, std::move(Copy));
       }
@@ -1119,43 +1072,30 @@ void Engine::finishBlock(FrameCtx &Frame, const BasicBlock *B,
     // Apply path-specific transitions for the taken branch (Section 3.2).
     if (Edge.Kind == CFGEdge::True || Edge.Kind == CFGEdge::False) {
       bool Taken = Edge.Kind == CFGEdge::True;
-      // Record the branch decision itself — trail always, journal under
-      // capture — but only while the checker has live state: mirrors the
-      // "conditionals crossed" ranking input, and keeps journals from
-      // filling with pre-tracking control flow. A condition whose
-      // path-specific effect *creates* the first state still gets the
-      // effect's transition step below.
+      // Record the branch decision itself, but only while the checker has
+      // live state: mirrors the "conditionals crossed" ranking input, and
+      // keeps journals from filling with pre-tracking control flow. A
+      // condition whose path-specific effect *creates* the first state still
+      // gets the effect's transition step below.
       if (B->condition()) {
         bool Live = PS.SMI.GState != CurChecker->initialGlobalState();
         for (const VarState &VS : PS.SMI.ActiveVars)
           if (!Live && VS.live() && !VS.Inactive)
             Live = true;
-        if (Live) {
-          const std::string &Cond = condText(B->condition());
-          Copy.Trail.mix(WitnessStep::Kind::Branch, Cond,
-                         Taken ? "true" : "false", "");
-          if (WitnessOn)
-            Copy.Witness.append(WitnessStep{
-                WitnessStep::Kind::Branch, B->condition()->loc(), Frame.Depth,
-                Cond, Taken ? "true" : "false", ""});
-        }
+        if (Live)
+          noteStep(Copy, WitnessStep::Kind::Branch, B->condition()->loc(),
+                   Frame.Depth, condText(B->condition()),
+                   Taken ? "true" : "false", "");
       }
+      const SourceLoc CondLoc =
+          B->condition() ? B->condition()->loc() : SourceLoc();
       for (const PathSpecificEffect &Eff : Copy.PendingEffects) {
         int Value = Taken ? Eff.TrueValue : Eff.FalseValue;
         if (VarState *VS = Copy.SMI.findByKey(Eff.TreeKey)) {
-          if (VS->Value != Value) {
-            Copy.Trail.mix(WitnessStep::Kind::Transition,
-                           symbolText(Eff.TreeKey),
-                           CurChecker->stateName(VS->Value),
-                           CurChecker->stateName(Value));
-            if (WitnessOn)
-              Copy.Witness.append(WitnessStep{
-                  WitnessStep::Kind::Transition,
-                  B->condition() ? B->condition()->loc() : SourceLoc(),
-                  Frame.Depth, std::string(symbolText(Eff.TreeKey)),
-                  CurChecker->stateName(VS->Value),
-                  CurChecker->stateName(Value)});
-          }
+          if (VS->Value != Value)
+            noteStep(Copy, WitnessStep::Kind::Transition, CondLoc, Frame.Depth,
+                     symbolText(Eff.TreeKey), CurChecker->stateName(VS->Value),
+                     CurChecker->stateName(Value));
           VS->Value = Value;
         } else if (Value != StateStop && Eff.Tree) {
           VarState NewVS;
@@ -1163,14 +1103,8 @@ void Engine::finishBlock(FrameCtx &Frame, const BasicBlock *B,
           NewVS.TreeKey = Eff.TreeKey;
           NewVS.Value = Value;
           NewVS.OriginLoc = Eff.Tree->loc();
-          Copy.Trail.mix(WitnessStep::Kind::Transition, symbolText(Eff.TreeKey),
-                         "", CurChecker->stateName(Value));
-          if (WitnessOn)
-            Copy.Witness.append(WitnessStep{
-                WitnessStep::Kind::Transition,
-                B->condition() ? B->condition()->loc() : SourceLoc(),
-                Frame.Depth, std::string(symbolText(Eff.TreeKey)), "",
-                CurChecker->stateName(Value)});
+          noteStep(Copy, WitnessStep::Kind::Transition, CondLoc, Frame.Depth,
+                   symbolText(Eff.TreeKey), "", CurChecker->stateName(Value));
           Copy.SMI.ActiveVars.push_back(std::move(NewVS));
         }
       }
@@ -1571,20 +1505,14 @@ void Engine::followCall(FrameCtx &Frame, const BasicBlock *B,
     bump(Ctr.CallsFollowed);
     std::set<const FunctionDecl *> NewStack = *Frame.CallStack;
     NewStack.insert(Callee);
-    // Reports emitted inside the callee fingerprint as "caller shape + call
-    // step + callee-internal shape" (the trail mirror of the journal rule
-    // below, minus the capture gate).
+    // Reports emitted inside the callee carry the caller's shape and journal
+    // plus an explicit call step (the call chain the --explain indentation
+    // renders), then the callee-internal steps.
     Refined.Trail = PS.Trail;
-    Refined.Trail.mix(WitnessStep::Kind::Call, "", "", Callee->name());
-    if (WitnessOn) {
-      // Reports emitted inside the callee carry the caller's journal plus
-      // an explicit call step — the call-chain the --explain indentation
-      // renders.
+    if (WitnessOn)
       Refined.Witness = PS.Witness;
-      Refined.Witness.append(WitnessStep{WitnessStep::Kind::Call, CE->loc(),
-                                         Frame.Depth, "", "",
-                                         std::string(Callee->name())});
-    }
+    noteStep(Refined, WitnessStep::Kind::Call, CE->loc(), Frame.Depth, "", "",
+             Callee->name());
     CalleeExits =
         analyzeFunction(Callee, Refined, std::move(NewStack), Frame.Depth + 1);
   }

@@ -134,57 +134,6 @@ struct EngineOptions {
                          const EngineOptions &) = default;
 };
 
-/// A typed *view* of the engine's well-known counters (see
-/// MC_ENGINE_METRICS in support/Metrics.h for the field ↔ dotted-name
-/// mapping). The live counters moved onto the metrics registry; this struct
-/// survives as a convenient snapshot for benches and tests that read fields
-/// by name. Aggregation happens on MetricsSnapshot (merge-by-name), so the
-/// old hand-written merge() is gone.
-struct EngineStats {
-  uint64_t PointsVisited = 0;
-  uint64_t BlocksVisited = 0;
-  uint64_t PathsExplored = 0;
-  uint64_t BlockCacheHits = 0;
-  uint64_t FunctionCacheHits = 0;
-  uint64_t FunctionAnalyses = 0;
-  uint64_t CallsFollowed = 0;
-  uint64_t PathsPruned = 0;
-  uint64_t KillsApplied = 0;
-  uint64_t SynonymsCreated = 0;
-  uint64_t PathLimitHits = 0;
-  /// Roots analyzeRoot() ran to completion or abort (each ladder retry
-  /// counts — it is a fresh analysis attempt).
-  uint64_t RootsAnalyzed = 0;
-  /// Dispatch-index telemetry: consultations, candidates that ran full
-  /// matching, transitions skipped without matching, and whole blocks whose
-  /// checker dispatch was skipped via the per-block memo.
-  uint64_t IndexPointLookups = 0;
-  uint64_t IndexCandidatesTried = 0;
-  uint64_t IndexTransitionsSkipped = 0;
-  uint64_t IndexBlocksSkipped = 0;
-  /// Fault-containment telemetry: hard aborts (deadline / state valve) seen
-  /// by this engine, and the driver-level outcome counters (roots that ended
-  /// degraded or quarantined, and how many ladder retries ran).
-  uint64_t DeadlineHits = 0;
-  uint64_t StateLimitHits = 0;
-  uint64_t RootsDegraded = 0;
-  uint64_t RootsQuarantined = 0;
-  uint64_t DegradationRetries = 0;
-  /// Per-root arena telemetry: cumulative bytes handed out and high-water
-  /// slab counts summed over roots (recorded just before each root reset).
-  uint64_t ArenaBytes = 0;
-  uint64_t ArenaSlabs = 0;
-
-  /// Builds the typed view from a snapshot's dotted names (unknown names are
-  /// ignored; absent names read 0).
-  static EngineStats fromMetrics(const MetricsSnapshot &M);
-  /// The inverse: the well-known counters as a snapshot, for merging into
-  /// tool-level totals alongside registry snapshots.
-  MetricsSnapshot toMetrics() const;
-
-  friend bool operator==(const EngineStats &, const EngineStats &) = default;
-};
-
 /// Why analyzeRoot abandoned a root. The library builds with
 /// -fno-exceptions, so faults are cooperative: the engine's budget valves
 /// and AnalysisContext::raiseFault set an abort latch that the traversal
@@ -271,14 +220,11 @@ public:
   /// it had been skipped.
   RootOutcome analyzeRoot(Checker &C, const FunctionDecl *Root);
 
-  /// Typed snapshot of the engine's well-known counters (by value — the
-  /// live counters are registry cells now).
-  EngineStats stats() const;
   /// The engine's live metrics registry: the well-known counters plus
   /// per-checker attribution and any checker-registered custom counters.
-  /// Snapshot it (metrics().snapshot()) to aggregate across engines.
+  /// Snapshot it (metrics().snapshot()) to read a counter by dotted name or
+  /// to aggregate across engines.
   const MetricsRegistry &metrics() const { return Metrics; }
-  void resetStats() { Metrics.reset(); }
 
   /// Block summary of \p B for the last checker run (Figure 5 output).
   const BlockSummary *blockSummary(const FunctionDecl *Fn,
@@ -341,6 +287,14 @@ private:
 
   void endOfPath(PathState &PS, const FunctionDecl *Root);
 
+  /// Records one checker-relevant event on \p PS: always into the shape
+  /// trail, since fingerprints must not depend on capture, and into the
+  /// witness journal only under capture, so an uncaptured run builds no
+  /// journal strings.
+  void noteStep(PathState &PS, WitnessStep::Kind K, SourceLoc Loc,
+                unsigned Depth, std::string_view Object, std::string_view From,
+                std::string_view To) const;
+
   /// The value of annotation \p Key on \p Node as the current root sees it:
   /// its own write, else the earlier checkers'; null when absent.
   const std::string *annotation(const Stmt *Node,
@@ -362,7 +316,7 @@ private:
   /// Cached cells for the well-known counters, one field per
   /// MC_ENGINE_METRICS row (registered once in the constructor).
   struct Counters {
-#define MC_METRIC_FIELD(Field, DottedName, StatsKey, BenchKey)                 \
+#define MC_METRIC_FIELD(Field, DottedName, StatsKey)                           \
   std::atomic<uint64_t> *Field = nullptr;
     MC_ENGINE_METRICS(MC_METRIC_FIELD)
 #undef MC_METRIC_FIELD

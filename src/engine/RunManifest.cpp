@@ -359,7 +359,7 @@ bool mc::parseRunManifest(std::string_view Text, RunManifest &Out,
 
 void mc::formatStatsText(const MetricsSnapshot &M, raw_ostream &OS) {
   bool First = true;
-#define MC_METRIC_STAT(Field, DottedName, StatsKey, BenchKey)                  \
+#define MC_METRIC_STAT(Field, DottedName, StatsKey)                            \
   if (*StatsKey) {                                                             \
     if (!First)                                                                \
       OS << ' ';                                                               \

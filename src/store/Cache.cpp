@@ -402,6 +402,8 @@ AnalysisCache::~AnalysisCache() {
   }
 }
 
+raw_ostream &AnalysisCache::diag() { return DiagOS ? *DiagOS : errs(); }
+
 std::string AnalysisCache::entryPath(Kind K, uint64_t Key) const {
   std::string P = Dir;
   P += K == Kind::Ast ? "/ast-" : "/sum-";
@@ -424,7 +426,7 @@ bool AnalysisCache::load(Kind K, uint64_t Key, std::string &PayloadOut) {
     return false;
   }
   if (const char *Why = checkPersistHeader(char(K), kCacheFormatVersion, Raw)) {
-    errs() << "xgcc: cache: dropping corrupt entry " << Path << " (" << Why
+    diag() << "xgcc: cache: dropping corrupt entry " << Path << " (" << Why
            << ")\n";
     Counters.add(kCacheEvictionsCorrupt);
     Counters.add(MissName);
@@ -455,7 +457,7 @@ void AnalysisCache::store(Kind K, uint64_t Key, const std::string &Payload) {
   if (!writeFileAtomic(entryPath(K, Key), Bytes, nullptr)) {
     Counters.add(kCacheWriteFailures);
     if (!WarnedWriteFailure)
-      errs() << "xgcc: cache: cannot write to '" << Dir
+      diag() << "xgcc: cache: cannot write to '" << Dir
              << "'; new entries dropped\n";
     WarnedWriteFailure = true;
   }

@@ -49,6 +49,7 @@ namespace mc {
 
 class FunctionDecl;
 class Stmt;
+class raw_ostream;
 
 /// Bump this when any on-disk encoding changes (cache file header, artifact
 /// payload grammar, per-TU image grammar, or a hashing scheme). Old entries
@@ -192,6 +193,16 @@ public:
   /// Total bytes currently resident in the directory.
   uint64_t diskBytes() const;
 
+  /// Sends the notes load() and store() print (a corrupt entry dropped, the
+  /// first failed write) to \p OS; null means errs(). XgccTool attaches its
+  /// diagnostic stream and detaches it when the tool goes, since a borrowed
+  /// cache outlives its tool. Each attach re-arms the write-failure note, so
+  /// every run whose writes fail says so in its own log.
+  void setDiagOS(raw_ostream *OS) {
+    DiagOS = OS;
+    WarnedWriteFailure = false;
+  }
+
   /// The counters this cache accumulated (cache.ast.*, cache.summary.*,
   /// cache.evictions.*, cache.bytes). The driver folds them into the run's
   /// metrics snapshot — deliberately outside MC_ENGINE_METRICS so the
@@ -206,6 +217,7 @@ public:
 private:
   std::string entryPath(Kind K, uint64_t Key) const;
   void acquireLock();
+  raw_ostream &diag();
 
   std::string Dir;
   bool Usable = false;
@@ -214,6 +226,7 @@ private:
   long LockHolderPid = 0;
   int LockFd = -1;
   MetricsSnapshot Counters;
+  raw_ostream *DiagOS = nullptr;
 };
 
 } // namespace mc

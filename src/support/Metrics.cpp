@@ -54,12 +54,6 @@ uint64_t MetricsRegistry::value(std::string_view Name) const {
   return It->second->load(std::memory_order_relaxed);
 }
 
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  for (auto &Cell : Cells)
-    Cell.store(0, std::memory_order_relaxed);
-}
-
 size_t MetricsRegistry::size() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return Index.size();

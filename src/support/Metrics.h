@@ -17,8 +17,9 @@
 /// `std::atomic<uint64_t> *` cell; the hot path is exactly one relaxed
 /// fetch_add through a cached cell pointer. Aggregation happens on
 /// MetricsSnapshot values (plain name→value maps) merged by name, so the
-/// total never depends on worker interleaving — the registry replaces
-/// `EngineStats::merge`'s hand-written field list with order-free summation.
+/// total never depends on worker interleaving. Code reads a counter by its
+/// dotted name (`snapshot().value("engine.points.visited")`); there is no
+/// typed copy of the counters to keep in step.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,9 +92,6 @@ public:
   /// The current value of \p Name; 0 when it was never registered.
   uint64_t value(std::string_view Name) const;
 
-  /// Zeroes every registered counter (names stay registered).
-  void reset();
-
   size_t size() const;
 
   /// Point-in-time copy of every counter, sorted by name.
@@ -121,42 +119,42 @@ private:
   uint64_t StartNs = 0;
 };
 
-/// The engine's well-known counters, in --stats line order. Columns:
-/// EngineStats field, dotted registry name, --stats key ("" = not printed on
-/// the --stats line), legacy BENCH_JSON key ("" = not in the flat bench
-/// block). The dotted names are API: trajectory tooling keys on them.
+/// The engine's well-known counters, in --stats line order. Columns: the
+/// Engine's cached-cell field, dotted registry name, --stats key ("" = not
+/// printed on the --stats line). The dotted names are API: --stats-json,
+/// BENCH_JSON's "metrics" object and trajectory tooling key on them.
+///
+/// What some rows count: engine.roots.analyzed, every analyzeRoot() call
+/// (each ladder retry is a fresh attempt); index.*, the dispatch index's
+/// consultations, candidates that ran full matching, transitions skipped
+/// without matching, and blocks whose dispatch the per-block memo skipped;
+/// engine.deadline.hits and engine.state_limit.hits, hard aborts;
+/// ladder.*, roots that ended degraded or quarantined and the retries run;
+/// arena.*, bytes handed out and high-water slabs, summed over roots.
 #define MC_ENGINE_METRICS(X)                                                   \
-  X(PointsVisited, "engine.points.visited", "points", "points")                \
-  X(BlocksVisited, "engine.blocks.visited", "blocks", "blocks")                \
-  X(PathsExplored, "engine.paths.explored", "paths", "paths")                  \
-  X(BlockCacheHits, "engine.cache.block_hits", "cache-hits", "cache_hits")     \
-  X(FunctionCacheHits, "engine.cache.function_hits", "fn-hits", "fn_hits")     \
-  X(FunctionAnalyses, "engine.functions.analyzed", "fn-analyses", "")          \
-  X(CallsFollowed, "engine.calls.followed", "", "")                            \
-  X(PathsPruned, "engine.paths.pruned", "pruned", "pruned")                    \
-  X(KillsApplied, "engine.kills.applied", "kills", "")                         \
-  X(SynonymsCreated, "engine.synonyms.created", "synonyms", "")                \
-  X(PathLimitHits, "engine.paths.limit_hits", "", "")                          \
-  X(RootsAnalyzed, "engine.roots.analyzed", "", "")                            \
-  X(IndexPointLookups, "index.points.lookups", "index-lookups",                \
-    "index_lookups")                                                           \
-  X(IndexCandidatesTried, "index.candidates.tried", "index-tried",             \
-    "index_tried")                                                             \
-  X(IndexTransitionsSkipped, "index.transitions.skipped", "index-skipped",     \
-    "index_skipped")                                                           \
-  X(IndexBlocksSkipped, "index.blocks.skipped", "index-blocks-skipped",        \
-    "index_blocks_skipped")                                                    \
-  X(DeadlineHits, "engine.deadline.hits", "deadline-hits", "deadline_hits")    \
-  X(StateLimitHits, "engine.state_limit.hits", "state-limit-hits",             \
-    "state_limit_hits")                                                        \
-  X(RootsDegraded, "ladder.roots.degraded", "roots-degraded",                  \
-    "roots_degraded")                                                          \
-  X(RootsQuarantined, "ladder.roots.quarantined", "roots-quarantined",         \
-    "roots_quarantined")                                                       \
-  X(DegradationRetries, "ladder.retries", "degradation-retries",               \
-    "degradation_retries")                                                     \
-  X(ArenaBytes, "arena.bytes", "arena-bytes", "arena_bytes")                   \
-  X(ArenaSlabs, "arena.slabs", "arena-slabs", "arena_slabs")
+  X(PointsVisited, "engine.points.visited", "points")                          \
+  X(BlocksVisited, "engine.blocks.visited", "blocks")                          \
+  X(PathsExplored, "engine.paths.explored", "paths")                           \
+  X(BlockCacheHits, "engine.cache.block_hits", "cache-hits")                   \
+  X(FunctionCacheHits, "engine.cache.function_hits", "fn-hits")                \
+  X(FunctionAnalyses, "engine.functions.analyzed", "fn-analyses")              \
+  X(CallsFollowed, "engine.calls.followed", "")                                \
+  X(PathsPruned, "engine.paths.pruned", "pruned")                              \
+  X(KillsApplied, "engine.kills.applied", "kills")                             \
+  X(SynonymsCreated, "engine.synonyms.created", "synonyms")                    \
+  X(PathLimitHits, "engine.paths.limit_hits", "")                              \
+  X(RootsAnalyzed, "engine.roots.analyzed", "")                                \
+  X(IndexPointLookups, "index.points.lookups", "index-lookups")                \
+  X(IndexCandidatesTried, "index.candidates.tried", "index-tried")             \
+  X(IndexTransitionsSkipped, "index.transitions.skipped", "index-skipped")     \
+  X(IndexBlocksSkipped, "index.blocks.skipped", "index-blocks-skipped")        \
+  X(DeadlineHits, "engine.deadline.hits", "deadline-hits")                     \
+  X(StateLimitHits, "engine.state_limit.hits", "state-limit-hits")             \
+  X(RootsDegraded, "ladder.roots.degraded", "roots-degraded")                  \
+  X(RootsQuarantined, "ladder.roots.quarantined", "roots-quarantined")         \
+  X(DegradationRetries, "ladder.retries", "degradation-retries")               \
+  X(ArenaBytes, "arena.bytes", "arena-bytes")                                  \
+  X(ArenaSlabs, "arena.slabs", "arena-slabs")
 
 /// Incremental-cache counters (src/store). Deliberately NOT rows of
 /// MC_ENGINE_METRICS: the --stats line is a byte-stable surface and cache

@@ -36,6 +36,15 @@ struct CacheRun {
   std::string Diags; ///< Everything the tool wrote to its diagnostic stream.
 };
 
+/// Occurrences of \p Needle in \p Text.
+size_t countOf(const std::string &Text, const std::string &Needle) {
+  size_t N = 0;
+  for (size_t Pos = Text.find(Needle); Pos != std::string::npos;
+       Pos = Text.find(Needle, Pos + Needle.size()))
+    ++N;
+  return N;
+}
+
 class CacheTest : public ::testing::Test {
 protected:
   fs::path Dir;
@@ -167,7 +176,8 @@ TEST_F(CacheTest, WarmIdenticalAcrossJobs) {
 TEST_F(CacheTest, BitFlipDegradesToMissAndHeals) {
   writeCorpus();
   CacheRun Cold = run(Store);
-  ASSERT_FALSE(entries().empty());
+  const size_t Flipped = entries().size();
+  ASSERT_GT(Flipped, 0u);
   for (const fs::path &P : entries()) {
     std::string Bytes;
     ASSERT_TRUE(readFileBytes(P.string(), Bytes));
@@ -175,7 +185,13 @@ TEST_F(CacheTest, BitFlipDegradesToMissAndHeals) {
     ASSERT_TRUE(writeFileBytes(P.string(), Bytes));
   }
 
+  testing::internal::CaptureStderr();
   CacheRun Broken = run(Store);
+  // Each dropped entry is named once, in the log of the run that dropped it.
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  EXPECT_EQ(countOf(Broken.Diags, "xgcc: cache: dropping corrupt entry "),
+            Flipped);
+  EXPECT_EQ(countOf(Broken.Diags, " (checksum mismatch)\n"), Flipped);
   EXPECT_EQ(Broken.Reports, Cold.Reports);
   EXPECT_GT(Broken.Metrics.value(kCacheEvictionsCorrupt), 0u);
   EXPECT_EQ(Broken.Metrics.value(kCacheAstHits), 0u);
@@ -371,8 +387,16 @@ TEST_F(CacheTest, DirectoryLockExcludesSecondOpener) {
 TEST_F(CacheTest, InjectedWriteFaultsLeaveNoLitterAndAreCounted) {
   writeCorpus();
   injectWriteFaults(2);
+  testing::internal::CaptureStderr();
   CacheRun Faulted = run(Store);
+  std::string Stderr = testing::internal::GetCapturedStderr();
   injectWriteFaults(0);
+
+  // The failed writes are noted once, in the faulted run's own log.
+  EXPECT_EQ(Stderr, "");
+  EXPECT_EQ(countOf(Faulted.Diags, "xgcc: cache: cannot write to '" + Store +
+                                       "'; new entries dropped\n"),
+            1u);
 
   // The shortened writes were detected and counted, and their partial files
   // were cleaned up — no *.tmp litter for a later run to trip over.
@@ -386,6 +410,39 @@ TEST_F(CacheTest, InjectedWriteFaultsLeaveNoLitterAndAreCounted) {
   CacheRun Healed = run(Store);
   EXPECT_EQ(Healed.Reports, Faulted.Reports);
   EXPECT_EQ(Healed.Metrics.value(kCacheWriteFailures), 0u);
+}
+
+TEST_F(CacheTest, SharedCacheNotesGoToTheAttachedTool) {
+  // A daemon's store outlives every request's tool. Each request's failed
+  // write is noted in that request's own log, and a note the store prints
+  // after its last tool went reaches errs(), never a dead stream.
+  writeCorpus();
+  AnalysisCache Shared(Store);
+  const std::string Note =
+      "xgcc: cache: cannot write to '" + Store + "'; new entries dropped\n";
+  testing::internal::CaptureStderr();
+  for (int Request = 0; Request != 2; ++Request) {
+    std::string Log;
+    raw_string_ostream LogOS(Log);
+    {
+      XgccTool Tool(&LogOS);
+      Tool.setSharedCache(&Shared);
+      injectWriteFaults(1);
+      EXPECT_TRUE(Tool.addSourceFiles(Paths, 1));
+      EXPECT_TRUE(Tool.addBuiltinChecker("free"));
+      Tool.run();
+      injectWriteFaults(0);
+    }
+    LogOS.flush();
+    EXPECT_EQ(countOf(Log, Note), 1u) << "request " << Request;
+  }
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+
+  testing::internal::CaptureStderr();
+  injectWriteFaults(1);
+  Shared.store(AnalysisCache::Kind::Ast, 1, "payload");
+  injectWriteFaults(0);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), Note);
 }
 
 TEST(RootArtifactTest, RoundtripIsByteStable) {

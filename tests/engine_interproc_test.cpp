@@ -157,7 +157,7 @@ TEST(Summaries, SecondCallInSameStateHitsTheCache) {
   ASSERT_TRUE(T.addSource("t.c", Source));
   ASSERT_TRUE(T.addBuiltinChecker("free"));
   T.run(EngineOptions());
-  EXPECT_GE(T.stats().FunctionCacheHits, 1u);
+  EXPECT_GE(T.metrics().value("engine.cache.function_hits"), 1u);
 }
 
 TEST(Summaries, ReplayReproducesCalleeEffects) {
@@ -300,7 +300,7 @@ TEST(TopDown, CalleeOnlyAnalyzedInReachingStates) {
   ASSERT_TRUE(T.addBuiltinChecker("free"));
   T.run(EngineOptions());
   // t1, t2 roots; leaf analysed once, replayed once.
-  EXPECT_GE(T.stats().FunctionCacheHits, 1u);
+  EXPECT_GE(T.metrics().value("engine.cache.function_hits"), 1u);
   EXPECT_TRUE(T.reports().size() == 0u);
 }
 

@@ -243,7 +243,7 @@ TEST(EngineIntra, CachingCollapsesDiamonds) {
   ASSERT_TRUE(On.addSource("t.c", Source));
   ASSERT_TRUE(On.addBuiltinChecker("free"));
   On.run(EngineOptions());
-  uint64_t PathsOn = On.stats().PathsExplored;
+  uint64_t PathsOn = On.metrics().value("engine.paths.explored");
 
   XgccTool Off;
   ASSERT_TRUE(Off.addSource("t.c", Source));
@@ -252,7 +252,7 @@ TEST(EngineIntra, CachingCollapsesDiamonds) {
   OffOpts.EnableBlockCache = false;
   OffOpts.EnableFalsePathPruning = false; // conditions are opaque anyway
   Off.run(OffOpts);
-  uint64_t PathsOff = Off.stats().PathsExplored;
+  uint64_t PathsOff = Off.metrics().value("engine.paths.explored");
 
   EXPECT_GE(PathsOff, 256u);
   EXPECT_LE(PathsOn, 20u);
@@ -290,14 +290,14 @@ TEST(EngineIntra, IndependentInstancesDoNotMultiplyWork) {
     ASSERT_TRUE(T.addSource("t.c", MakeSource(4)));
     ASSERT_TRUE(T.addBuiltinChecker("free"));
     T.run(EngineOptions());
-    Blocks4 = T.stats().BlocksVisited;
+    Blocks4 = T.metrics().value("engine.blocks.visited");
   }
   {
     XgccTool T;
     ASSERT_TRUE(T.addSource("t.c", MakeSource(8)));
     ASSERT_TRUE(T.addBuiltinChecker("free"));
     T.run(EngineOptions());
-    Blocks8 = T.stats().BlocksVisited;
+    Blocks8 = T.metrics().value("engine.blocks.visited");
   }
   // Doubling the instances must not double the block traversals (the
   // instances ride along the same paths).

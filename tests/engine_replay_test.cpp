@@ -33,7 +33,7 @@ TEST(Replay, ConditionalCalleeYieldsBothExitStatesAtCacheHit) {
   T.run(EngineOptions());
   // One report per caller; the second comes from a summary replay.
   EXPECT_EQ(T.reports().size(), 2u);
-  EXPECT_GE(T.stats().FunctionCacheHits, 1u);
+  EXPECT_GE(T.metrics().value("engine.cache.function_hits"), 1u);
 }
 
 TEST(Replay, AddEdgesMaterializeNewInstancesAtCacheHit) {
@@ -49,7 +49,7 @@ TEST(Replay, AddEdgesMaterializeNewInstancesAtCacheHit) {
   ASSERT_TRUE(T.addBuiltinChecker("free"));
   T.run(EngineOptions());
   EXPECT_EQ(T.reports().size(), 2u);
-  EXPECT_GE(T.stats().FunctionCacheHits, 1u);
+  EXPECT_GE(T.metrics().value("engine.cache.function_hits"), 1u);
 }
 
 TEST(Replay, StoppedTuplesDoNotResurface) {
@@ -150,7 +150,7 @@ TEST(Replay, DistinctEntryStatesGetDistinctAnalyses) {
   // deduplicate to one. The second caller of each flavour replays a summary.
   ASSERT_EQ(T.reports().size(), 1u);
   EXPECT_EQ(T.reports().reports()[0].Message, "using x after free!");
-  EXPECT_GE(T.stats().FunctionCacheHits, 2u);
+  EXPECT_GE(T.metrics().value("engine.cache.function_hits"), 2u);
 }
 
 TEST(Replay, GlobalStateTransitionsReplay) {

@@ -50,7 +50,7 @@ std::string corpus(unsigned Roots, unsigned FaultyEvery) {
 
 struct Snapshot {
   std::string Rendered; ///< print() output including any trailer.
-  EngineStats Stats;
+  MetricsSnapshot Stats;
   std::vector<RootIncident> Incidents;
 };
 
@@ -65,7 +65,7 @@ Snapshot runInjector(const std::string &Source, FaultInjectorChecker::Mode M,
   Snapshot Snap;
   raw_string_ostream OS(Snap.Rendered);
   Tool.reports().print(OS, RankPolicy::Generic);
-  Snap.Stats = Tool.stats();
+  Snap.Stats = Tool.metrics();
   Snap.Incidents = Tool.reports().incidents();
   return Snap;
 }
@@ -86,10 +86,10 @@ TEST(FaultContainment, QuarantineIsolatesCheckerFault) {
     EXPECT_EQ(I.Checker, "fault_injector");
     EXPECT_EQ(I.Reason, "injected checker fault");
   }
-  EXPECT_EQ(Got.Stats.RootsQuarantined, 2u);
-  EXPECT_EQ(Got.Stats.RootsDegraded, 0u);
+  EXPECT_EQ(Got.Stats.value("ladder.roots.quarantined"), 2u);
+  EXPECT_EQ(Got.Stats.value("ladder.roots.degraded"), 0u);
   // A checker fault never walks the ladder: retrying re-executes the bug.
-  EXPECT_EQ(Got.Stats.DegradationRetries, 0u);
+  EXPECT_EQ(Got.Stats.value("ladder.retries"), 0u);
 
   // The other 6 roots' reports are exactly those of a fault-free run over
   // the same source (the quarantined roots' buffered reports discarded).
@@ -137,9 +137,10 @@ TEST(FaultContainment, TrailerByteIdenticalAcrossJobs) {
     // and the outcome counters deterministic, at every job count.
     EXPECT_EQ(S.Rendered, Ref.Rendered) << "jobs=" << Jobs;
     EXPECT_TRUE(S.Incidents == Ref.Incidents) << "jobs=" << Jobs;
-    EXPECT_EQ(S.Stats.RootsQuarantined, Ref.Stats.RootsQuarantined);
-    EXPECT_EQ(S.Stats.RootsDegraded, Ref.Stats.RootsDegraded);
-    EXPECT_EQ(S.Stats.DegradationRetries, Ref.Stats.DegradationRetries);
+    for (const char *Name : {"ladder.roots.quarantined",
+                             "ladder.roots.degraded", "ladder.retries"})
+      EXPECT_EQ(S.Stats.value(Name), Ref.Stats.value(Name))
+          << Name << " jobs=" << Jobs;
   }
 }
 
@@ -168,9 +169,9 @@ TEST(FaultContainment, DeadlineDegradesToIntraprocedural) {
   EXPECT_EQ(Got.Incidents[0].Root, "fast_root");
   EXPECT_EQ(Got.Incidents[0].Stage, 1u);
   EXPECT_NE(Got.Incidents[0].Reason.find("deadline"), std::string::npos);
-  EXPECT_EQ(Got.Stats.RootsDegraded, 1u);
-  EXPECT_EQ(Got.Stats.DegradationRetries, 1u);
-  EXPECT_GE(Got.Stats.DeadlineHits, 1u);
+  EXPECT_EQ(Got.Stats.value("ladder.roots.degraded"), 1u);
+  EXPECT_EQ(Got.Stats.value("ladder.retries"), 1u);
+  EXPECT_GE(Got.Stats.value("engine.deadline.hits"), 1u);
   // The degraded (intraprocedural) result still carries the root's report.
   EXPECT_NE(Got.Rendered.find("call of bad_call"), std::string::npos);
   EXPECT_NE(Got.Rendered.find("degraded fast_root [fault_injector] (stage 1)"),
@@ -202,7 +203,7 @@ TEST(FaultContainment, PathBudgetLadderReachesSkimStage) {
     EXPECT_FALSE(Got.Incidents[0].Quarantined);
     EXPECT_EQ(Got.Incidents[0].Stage, 3u);
     EXPECT_NE(Got.Incidents[0].Reason.find("path budget"), std::string::npos);
-    EXPECT_EQ(Got.Stats.DegradationRetries, 3u);
+    EXPECT_EQ(Got.Stats.value("ladder.retries"), 3u);
     EXPECT_NE(Got.Rendered.find("call of bad_call"), std::string::npos);
   }
 }
@@ -224,8 +225,8 @@ TEST(FaultContainment, StateGrowthQuarantinesAfterLadder) {
       EXPECT_TRUE(I.Quarantined);
       EXPECT_NE(I.Reason.find("active-state limit"), std::string::npos);
     }
-    EXPECT_EQ(Got.Stats.RootsQuarantined, 2u);
-    EXPECT_EQ(Got.Stats.DegradationRetries, 2 * kDegradationStages);
+    EXPECT_EQ(Got.Stats.value("ladder.roots.quarantined"), 2u);
+    EXPECT_EQ(Got.Stats.value("ladder.retries"), 2 * kDegradationStages);
     // The healthy roots fn1/fn3 still report.
     EXPECT_NE(Got.Rendered.find("in fn1:"), std::string::npos);
     EXPECT_NE(Got.Rendered.find("in fn3:"), std::string::npos);
@@ -252,8 +253,9 @@ TEST(FaultContainment, ArmedValvesChangeNothingWithoutFaults) {
     Snapshot B = runInjector(Clean, FaultInjectorChecker::Mode::None, Armed);
     EXPECT_EQ(A.Rendered, B.Rendered) << "jobs=" << Jobs;
     EXPECT_TRUE(B.Incidents.empty());
-    EXPECT_EQ(B.Stats.DeadlineHits, 0u);
-    EXPECT_EQ(B.Stats.RootsDegraded + B.Stats.RootsQuarantined, 0u);
+    EXPECT_EQ(B.Stats.value("engine.deadline.hits"), 0u);
+    EXPECT_EQ(B.Stats.value("ladder.roots.degraded"), 0u);
+    EXPECT_EQ(B.Stats.value("ladder.roots.quarantined"), 0u);
     EXPECT_EQ(A.Rendered.find("analysis incomplete"), std::string::npos);
   }
 }

@@ -446,7 +446,7 @@ TEST(FPPEngine, TrackedStatsReportPrunes) {
                                      "}"));
   ASSERT_TRUE(T.addBuiltinChecker("free"));
   T.run(EngineOptions());
-  EXPECT_GE(T.stats().PathsPruned, 2u);
+  EXPECT_GE(T.metrics().value("engine.paths.pruned"), 2u);
 }
 
 } // namespace

@@ -12,11 +12,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "../bench/BenchJson.h"
 #include "checkers/FaultInjector.h"
 #include "driver/Tool.h"
 #include "engine/RunManifest.h"
 #include "support/EventLog.h"
 #include "support/Histogram.h"
+#include "support/Json.h"
 #include "support/Metrics.h"
 #include "support/RawOstream.h"
 #include "support/Trace.h"
@@ -51,10 +53,6 @@ TEST(Metrics, RegisterOrGetAndAdd) {
   EXPECT_EQ(R.value("a.x"), 7u);
   EXPECT_EQ(R.value("never.registered"), 0u);
   EXPECT_EQ(R.size(), 1u);
-  R.reset();
-  EXPECT_EQ(R.value("a.x"), 0u);
-  // Reset zeroes cells but keeps registrations (cached pointers stay valid).
-  EXPECT_EQ(R.counter("a.x"), A);
 }
 
 TEST(Metrics, SnapshotIsSortedAndKeepsZeros) {
@@ -113,15 +111,6 @@ TEST(Metrics, ConcurrentRegisterAndBump) {
   for (unsigned N = 0; N != 4; ++N)
     PerName += R.value("worker." + std::to_string(N) + ".ops");
   EXPECT_EQ(PerName, uint64_t(Threads) * Iters);
-}
-
-TEST(Metrics, EngineStatsViewRoundTrips) {
-  EngineStats S;
-  S.PointsVisited = 11;
-  S.RootsQuarantined = 2;
-  S.IndexCandidatesTried = 7;
-  EngineStats Back = EngineStats::fromMetrics(S.toMetrics());
-  EXPECT_TRUE(Back == S);
 }
 
 //===----------------------------------------------------------------------===//
@@ -350,20 +339,42 @@ TEST(Formatters, ProfileRanksByCalloutTime) {
   EXPECT_NE(Text.find("callout_ms=5.000"), std::string::npos);
 }
 
-TEST(Formatters, StatsLineEqualsLegacyEngineStatsFields) {
-  // The formatter and the EngineStats view agree: format(toMetrics(S))
-  // renders S's fields.
-  EngineStats S;
-  S.PointsVisited = 1;
-  S.BlocksVisited = 2;
-  S.PathsExplored = 3;
-  S.DegradationRetries = 4;
+TEST(Formatters, BenchJsonCarriesCountersOnlyUnderMetrics) {
+  // One encoding: a BENCH_JSON line is one JSON object whose "metrics" is
+  // the snapshot it was given, name for name, with no counter key beside it.
+  MetricsSnapshot M;
+  M.add("engine.points.visited", 3580);
+  M.add("index.candidates.tried", 7);
+  M.add("arena.slabs", 0);
+  M.add("checker.free.reports", 2);
   std::string Line;
   raw_string_ostream OS(Line);
-  formatStatsText(S.toMetrics(), OS);
-  EXPECT_NE(Line.find("points=1 blocks=2 paths=3"), std::string::npos);
-  EXPECT_NE(Line.find("degradation-retries=4 "), std::string::npos);
-  EXPECT_NE(Line.find("arena-bytes=0 arena-slabs=0\n"), std::string::npos);
+  bench::BenchJson("x").engine(M).emit(OS);
+  OS.flush();
+  const std::string Prefix = "BENCH_JSON ";
+  ASSERT_EQ(Line.rfind(Prefix, 0), 0u) << Line;
+  ASSERT_EQ(Line.find('\n'), Line.size() - 1) << Line;
+
+  std::string Err;
+  JsonReader R(std::string_view(Line).substr(Prefix.size()), &Err);
+  std::vector<std::string> Keys;
+  MetricsSnapshot Got;
+  ASSERT_TRUE(R.readObject([&](const std::string &Key) {
+    Keys.push_back(Key);
+    if (Key != "metrics")
+      return R.skipValue();
+    return R.readObject([&](const std::string &Name) {
+      uint64_t V = 0;
+      if (!R.readUInt(V))
+        return false;
+      Got.add(Name, V);
+      return true;
+    });
+  })) << Err;
+  EXPECT_TRUE(R.atEnd());
+  EXPECT_EQ(Keys,
+            (std::vector<std::string>{"bench", "metrics", "peak_rss_kb"}));
+  EXPECT_EQ(Got, M);
 }
 
 //===----------------------------------------------------------------------===//

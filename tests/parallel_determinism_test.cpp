@@ -60,7 +60,7 @@ std::string makeTU(unsigned Tag) {
 
 struct RunSnapshot {
   std::string Rendered;
-  EngineStats Stats;
+  MetricsSnapshot Stats;
   size_t Reports = 0;
 };
 
@@ -77,7 +77,7 @@ RunSnapshot runCorpusAt(unsigned Jobs, unsigned TUs = 6) {
   RunSnapshot Snap;
   raw_string_ostream OS(Snap.Rendered);
   Tool.reports().print(OS, RankPolicy::Generic);
-  Snap.Stats = Tool.stats();
+  Snap.Stats = Tool.metrics();
   Snap.Reports = Tool.reports().size();
   return Snap;
 }
@@ -128,7 +128,7 @@ TEST(ParallelDeterminismTest, BatchAddSourceFilesIsJobCountInvariant) {
     Tool.run(Opts);
     raw_string_ostream OS(Snaps[K].Rendered);
     Tool.reports().print(OS, RankPolicy::Generic);
-    Snaps[K].Stats = Tool.stats();
+    Snaps[K].Stats = Tool.metrics();
     Snaps[K].Reports = Tool.reports().size();
   }
   EXPECT_EQ(Snaps[0].Reports, 5u);
@@ -156,21 +156,23 @@ TEST(ParallelDeterminismTest, StatsAccumulateAcrossEngineRecreation) {
 
   EngineOptions A;
   Tool.run(A);
-  EngineStats First = Tool.stats();
-  EXPECT_GT(First.FunctionAnalyses, 0u);
+  MetricsSnapshot First = Tool.metrics();
+  EXPECT_GT(First.value("engine.functions.analyzed"), 0u);
 
   // A second run with different options builds new engines; the first
   // run's counters must survive in the tool-level merged stats.
   EngineOptions B;
   B.EnableBlockCache = false;
   Tool.run(B);
-  EngineStats Total = Tool.stats();
-  EXPECT_GT(Total.FunctionAnalyses, First.FunctionAnalyses);
-  EXPECT_GE(Total.PointsVisited, 2 * First.PointsVisited);
+  MetricsSnapshot Total = Tool.metrics();
+  EXPECT_GT(Total.value("engine.functions.analyzed"),
+            First.value("engine.functions.analyzed"));
+  EXPECT_GE(Total.value("engine.points.visited"),
+            2 * First.value("engine.points.visited"));
 }
 
 TEST(ParallelDeterminismTest, ShardedStatsAccumulateLikeSerial) {
-  // Two sharded runs on one tool: stats() must be the sum of both, exactly
+  // Two sharded runs on one tool: metrics() must be the sum of both, exactly
   // as two serial runs on one engine would accumulate.
   XgccTool Tool;
   for (unsigned I = 0; I < 4; ++I)
@@ -179,11 +181,12 @@ TEST(ParallelDeterminismTest, ShardedStatsAccumulateLikeSerial) {
   EngineOptions Opts;
   Opts.Jobs = 4;
   Tool.run(Opts);
-  EngineStats Once = Tool.stats();
+  MetricsSnapshot Once = Tool.metrics();
   Tool.run(Opts);
-  EngineStats Twice = Tool.stats();
-  EXPECT_EQ(Twice.FunctionAnalyses, 2 * Once.FunctionAnalyses);
-  EXPECT_EQ(Twice.PointsVisited, 2 * Once.PointsVisited);
+  MetricsSnapshot Twice = Tool.metrics();
+  MetricsSnapshot OnceTwice = Once;
+  OnceTwice.merge(Once);
+  EXPECT_EQ(Twice, OnceTwice);
 }
 
 TEST(ParallelDeterminismTest, CompositionSurvivesSharding) {
@@ -336,7 +339,7 @@ TEST(ParallelDeterminismTest, PathBudgetIsPerWorker) {
          "}\n";
   }
 
-  EngineStats Stats[2];
+  MetricsSnapshot Stats[2];
   std::string Rendered[2];
   unsigned JobCounts[2] = {1, 2};
   for (int K = 0; K < 2; ++K) {
@@ -349,14 +352,14 @@ TEST(ParallelDeterminismTest, PathBudgetIsPerWorker) {
     Opts.MaxPathsPerFunction = 8;
     Opts.Jobs = JobCounts[K];
     Tool.run(Opts);
-    Stats[K] = Tool.stats();
+    Stats[K] = Tool.metrics();
     raw_string_ostream OS(Rendered[K]);
     Tool.reports().print(OS, RankPolicy::Generic);
   }
-  EXPECT_GT(Stats[0].PathLimitHits, 0u);
+  EXPECT_GT(Stats[0].value("engine.paths.limit_hits"), 0u);
   EXPECT_EQ(Stats[1], Stats[0]);
   EXPECT_EQ(Rendered[1], Rendered[0]);
   // The path that trips the limit still completes, so the budget allows at
   // most MaxPathsPerFunction + 1 paths per function.
-  EXPECT_LE(Stats[0].PathsExplored, 4 * (8u + 1));
+  EXPECT_LE(Stats[0].value("engine.paths.explored"), 4 * (8u + 1));
 }

@@ -165,7 +165,7 @@ TEST_P(DiamondProperty, WorkIsLinearInDiamonds) {
     EXPECT_TRUE(Tool.addSource("d.c", diamondCorpus(1, D, false)));
     EXPECT_TRUE(Tool.addBuiltinChecker("free"));
     Tool.run(EngineOptions());
-    return Tool.stats().BlocksVisited;
+    return Tool.metrics().value("engine.blocks.visited");
   };
   unsigned D = GetParam();
   // Doubling the diamonds at most ~doubles the block traversals.

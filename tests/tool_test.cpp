@@ -107,9 +107,10 @@ TEST(Tool, StatsExposed) {
   ASSERT_TRUE(T.addSource("k.c", Kernel));
   ASSERT_TRUE(T.addBuiltinChecker("free"));
   T.run(EngineOptions());
-  EXPECT_GT(T.stats().PointsVisited, 0u);
-  EXPECT_GT(T.stats().BlocksVisited, 0u);
-  EXPECT_GT(T.stats().PathsExplored, 0u);
+  MetricsSnapshot M = T.metrics();
+  EXPECT_GT(M.value("engine.points.visited"), 0u);
+  EXPECT_GT(M.value("engine.blocks.visited"), 0u);
+  EXPECT_GT(M.value("engine.paths.explored"), 0u);
 }
 
 TEST(Tool, ParseErrorsReported) {
