@@ -149,10 +149,6 @@ int main(int argc, char **argv) {
   bool Ok = Shape && IncrOk;
   BenchJson("fig4_caching")
       .num("wall_ms", Timer.ms())
-      .count("cache_ast_hits", Agg.value(kCacheAstHits))
-      .count("cache_ast_misses", Agg.value(kCacheAstMisses))
-      .count("cache_summary_hits", Agg.value(kCacheSummaryHits))
-      .count("cache_summary_misses", Agg.value(kCacheSummaryMisses))
       .num("stmts_per_s", stmtsPerSec(Agg, Timer.seconds()))
       .engine(Agg)
       .flag("ok", Ok)

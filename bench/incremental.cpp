@@ -166,10 +166,6 @@ int main(int argc, char **argv) {
       .num("warm_ms", Warm.WallMs)
       .num("warm_edit_ms", WarmEdit.WallMs)
       .num("speedup", Speedup)
-      .count("cache_ast_hits", Agg.value(kCacheAstHits))
-      .count("cache_ast_misses", Agg.value(kCacheAstMisses))
-      .count("cache_summary_hits", Agg.value(kCacheSummaryHits))
-      .count("cache_summary_misses", Agg.value(kCacheSummaryMisses))
       .num("stmts_per_s", stmtsPerSec(Agg, Timer.seconds()))
       .engine(Agg)
       .flag("ok", Ok)

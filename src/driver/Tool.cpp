@@ -206,7 +206,7 @@ bool XgccTool::addSourceFiles(const std::vector<std::string> &Paths,
 
 void XgccTool::setCacheDir(const std::string &Dir) {
   attachCache(nullptr);
-  OwnedCache = std::make_unique<AnalysisCache>(Dir);
+  OwnedCache = std::make_unique<AnalysisCache>(Dir, &DiagOS);
   attachCache(OwnedCache.get());
   CacheBaseline = MetricsSnapshot();
 }
@@ -560,10 +560,9 @@ void XgccTool::buildArtifact(Engine &E, const RootOutcome &O,
               return A->name() < B->name();
             });
   for (const FunctionDecl *Fn : Sorted)
-    if (FunctionSummaries *FS = E.functionSummary(Fn))
-      if (const CFG *G = CG.cfg(Fn))
-        Art.Digests.push_back(
-            {std::string(Fn->name()), functionSummaryDigest(*FS, *G)});
+    if (const BlockSummary *Summary = E.functionSummary(Fn))
+      Art.Digests.push_back(
+          {std::string(Fn->name()), functionSummaryDigest(*Summary)});
   P.FreshOk = true;
 }
 

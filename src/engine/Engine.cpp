@@ -50,13 +50,14 @@ struct Engine::PathState {
 /// Traversal context for one function activation.
 struct Engine::FrameCtx {
   const FunctionDecl *Fn = nullptr;
-  const CFG *G = nullptr;
+  /// The function's record: CFG, point lists, may-fire bytes, summary.
+  FnRecord *Rec = nullptr;
+  /// This activation's block summaries.
   FunctionSummaries *FS = nullptr;
   std::vector<BacktraceEntry> Backtrace;
   std::vector<PathState> *ExitStates = nullptr;
   /// Keys of the exit states kept so far (state plus path annotation).
   StateKeySet *ExitKeys = nullptr;
-  std::set<const FunctionDecl *> *CallStack = nullptr;
   /// The activation's false-path-pruning facts, shared by all of its paths:
   /// each fork opens a TrackerScope per branch.
   ValueTracker *VT = nullptr;
@@ -527,12 +528,35 @@ uint64_t Engine::laneOf(const FunctionDecl *Root) {
   return It != RootLanes.end() ? It->second : 0;
 }
 
+Engine::FnRecord &Engine::recordOf(const FunctionDecl *Fn) {
+  auto [It, New] = Records.try_emplace(Fn);
+  if (New)
+    It->second.G = CG.cfg(Fn);
+  return It->second;
+}
+
+void Engine::dropSummary(FnRecord &R) {
+  R.Summary = BlockSummary();
+  R.Materialized = false;
+  R.LastWalk = FunctionSummaries();
+}
+
+const BlockSummary *Engine::functionSummary(const FunctionDecl *Fn) const {
+  auto It = Records.find(Fn);
+  if (It == Records.end() || !It->second.Materialized)
+    return nullptr;
+  return &It->second.Summary;
+}
+
 const BlockSummary *Engine::blockSummary(const FunctionDecl *Fn,
                                          const BasicBlock *B) const {
-  auto It = Summaries.find(Fn);
-  if (It == Summaries.end())
+  auto It = Records.find(Fn);
+  if (It == Records.end() || !It->second.Materialized)
     return nullptr;
-  return const_cast<FunctionSummaries &>(It->second).find(B);
+  const FnRecord &R = It->second;
+  if (B == R.G->entry())
+    return R.Summary.Reached.empty() ? nullptr : &R.Summary;
+  return R.LastWalk.find(B);
 }
 
 /// The value of \p Key on \p Node in \p M, or null.
@@ -558,15 +582,18 @@ const std::string *Engine::annotation(const Stmt *Node,
 //===----------------------------------------------------------------------===//
 
 static void appendExprPoints(const Expr *E, const Stmt *Top, bool InCond,
-                             std::vector<Engine::PointInfo> &Out);
+                             std::vector<Engine::PointInfo> &Out) {
+  forEachPointExecutionOrder(E, [&](const Expr *Point) {
+    Out.push_back(Engine::PointInfo{Point, Top, InCond});
+  });
+}
 
-const std::vector<Engine::PointInfo> &Engine::pointsOf(const BasicBlock *B) {
-  auto It = PointCache.find(B);
-  if (It != PointCache.end())
-    return It->second;
-  std::vector<PointInfo> Points;
-  for (const Stmt *S : B->stmts()) {
-    bool IsCond = B->condition() == S;
+/// Appends \p B's program points, in execution order, to \p Points.
+static void appendBlockPoints(const BasicBlock &B,
+                              std::vector<Engine::PointInfo> &Points) {
+  using PointInfo = Engine::PointInfo;
+  for (const Stmt *S : B.stmts()) {
+    bool IsCond = B.condition() == S;
     if (const auto *E = dyn_cast<Expr>(S)) {
       appendExprPoints(E, S, IsCond, Points);
       continue;
@@ -586,36 +613,29 @@ const std::vector<Engine::PointInfo> &Engine::pointsOf(const BasicBlock *B) {
     }
     Points.push_back(PointInfo{S, S, false});
   }
-  return PointCache[B] = std::move(Points);
 }
 
-static void appendExprPoints(const Expr *E, const Stmt *Top, bool InCond,
-                             std::vector<Engine::PointInfo> &Out) {
-  forEachPointExecutionOrder(E, [&](const Expr *Point) {
-    Out.push_back(Engine::PointInfo{Point, Top, InCond});
-  });
+std::span<const Engine::PointInfo> Engine::pointsOf(const FnRecord &R,
+                                                    const BasicBlock *B) const {
+  const PointInfo *Base = R.Points.data();
+  return {Base + R.PointBegin[B->id()], Base + R.PointBegin[B->id() + 1]};
 }
 
-bool Engine::blockMayFire(const BasicBlock *B) {
-  if (MemoChecker != CurChecker) {
-    // The memo answers "can CurChecker's transitions fire here"; a new
-    // checker invalidates every cached answer.
-    DispatchBlockMemo.clear();
-    MemoChecker = CurChecker;
+bool Engine::blockMayFire(FnRecord &R, const BasicBlock *B) {
+  uint8_t &Memo = R.MayFire[B->id()];
+  if (!Memo) {
+    bool May = true;
+    if (const DispatchIndex *Idx = CurChecker->dispatchIndex()) {
+      May = false;
+      for (const PointInfo &PI : pointsOf(R, B))
+        if (Idx->mayMatch(PI.Point)) {
+          May = true;
+          break;
+        }
+    }
+    Memo = May ? 2 : 1;
   }
-  auto It = DispatchBlockMemo.find(B);
-  if (It != DispatchBlockMemo.end())
-    return It->second;
-  bool May = true;
-  if (const DispatchIndex *Idx = CurChecker->dispatchIndex()) {
-    May = false;
-    for (const PointInfo &PI : pointsOf(B))
-      if (Idx->mayMatch(PI.Point)) {
-        May = true;
-        break;
-      }
-  }
-  return DispatchBlockMemo[B] = May;
+  return Memo == 2;
 }
 
 //===----------------------------------------------------------------------===//
@@ -724,7 +744,7 @@ void Engine::handlePoint(FrameCtx &Frame, const BasicBlock *B, PathState &PS,
   // does around the checker (auto-kill, synonyms, FPP, PATHKILL, call
   // following) still runs — Matched=false is exactly what the naive loop
   // would have produced.
-  if (Opts.EnableDispatchIndex && !blockMayFire(B)) {
+  if (Opts.EnableDispatchIndex && !blockMayFire(*Frame.Rec, B)) {
     Matched = false;
   } else {
     ACtxImpl ACtx(*this, PS, Frame.Fn, Frame.Depth, &PI, B->condition());
@@ -799,7 +819,7 @@ void Engine::traverseBlock(FrameCtx &Frame, const BasicBlock *B,
     return;
   }
   bump(Ctr.BlocksVisited);
-  if (Opts.EnableDispatchIndex && !blockMayFire(B))
+  if (Opts.EnableDispatchIndex && !blockMayFire(*Frame.Rec, B))
     bump(Ctr.IndexBlocksSkipped);
   BlockSummary &Sum = Frame.FS->of(B);
   // Everything this frame allocates from the root arena (entry-tuple
@@ -820,10 +840,7 @@ void Engine::traverseBlock(FrameCtx &Frame, const BasicBlock *B,
       // (cache_misses, Section 5.2), relaxing suffix summaries on the way.
       bump(Ctr.BlockCacheHits);
       Frame.Backtrace.push_back(BacktraceEntry{B, Entry});
-      relaxSuffixSummaries(Frame.Backtrace, *Frame.FS, [&](uint32_t Key) {
-        auto It = Frame.FS->LocalKeys.find(Key);
-        return It == Frame.FS->LocalKeys.end() || !It->second;
-      });
+      relaxSuffixSummaries(Frame.Backtrace, *Frame.FS);
       Frame.Backtrace.pop_back();
       bump(Ctr.PathsExplored);
       if (++Frame.PathsThisFunction > Opts.MaxPathsPerFunction) {
@@ -859,7 +876,7 @@ void Engine::traverseBlock(FrameCtx &Frame, const BasicBlock *B,
 
 void Engine::processPoints(FrameCtx &Frame, const BasicBlock *B,
                            TupleSpan EntrySnapshot, size_t Idx, PathState PS) {
-  const std::vector<PointInfo> &Points = pointsOf(B);
+  std::span<const PointInfo> Points = pointsOf(*Frame.Rec, B);
   for (size_t I = Idx; I < Points.size(); ++I) {
     if (AbortKind != RootAbortKind::None)
       return; // Aborting the root: skip even the quiet path-end bookkeeping.
@@ -902,10 +919,12 @@ void Engine::processPoints(FrameCtx &Frame, const BasicBlock *B,
     if (Opts.Interprocedural && !Matched) {
       if (const auto *CE = dyn_cast<CallExpr>(PI.Point)) {
         if (const auto *DRE = dyn_cast<DeclRefExpr>(CE->callee())) {
-          if (const auto *Callee = dyn_cast<FunctionDecl>(DRE->decl())) {
-            if (CG.cfg(Callee) && Frame.Depth + 1 < Opts.MaxCallDepth) {
+          if (const auto *Callee = dyn_cast<FunctionDecl>(DRE->decl());
+              Callee && Frame.Depth + 1 < Opts.MaxCallDepth) {
+            FnRecord &CalleeRec = recordOf(Callee);
+            if (CalleeRec.G) {
               followCall(Frame, B, EntrySnapshot, I + 1, std::move(PS), CE,
-                         Callee);
+                         Callee, CalleeRec);
               return;
             }
           }
@@ -937,10 +956,8 @@ void Engine::finishBlock(FrameCtx &Frame, const BasicBlock *B,
   // Compute this traversal's transition and add edges (Section 5.2).
   std::vector<SummaryEdge> Inserted;
   auto Insert = [&](SummaryEdge E) {
-    if (!Sum.Edges.count(E)) {
-      Sum.addEdge(E);
+    if (Sum.Edges.insert(E).second)
       Inserted.push_back(E);
-    }
   };
   // The global-only edge (relax uses it to match add-edge start states).
   Insert(SummaryEdge{StateTuple{GEntry, {}, StateStop, {}},
@@ -980,10 +997,6 @@ void Engine::finishBlock(FrameCtx &Frame, const BasicBlock *B,
                        VS->FactKey});
   }
 
-  auto KeepTree = [&](uint32_t Key) {
-    auto It = Frame.FS->LocalKeys.find(Key);
-    return It == Frame.FS->LocalKeys.end() || !It->second;
-  };
   auto NotePathEnd = [&] {
     bump(Ctr.PathsExplored);
     if (++Frame.PathsThisFunction > Opts.MaxPathsPerFunction) {
@@ -992,16 +1005,16 @@ void Engine::finishBlock(FrameCtx &Frame, const BasicBlock *B,
     }
   };
 
-  if (B == Frame.G->exit()) {
+  if (B == Frame.Rec->G->exit()) {
     // ep's suffix summary equals its block summary (minus stop-enders).
     for (const SummaryEdge &E : Sum.Edges) {
       if (E.To.Value == StateStop && !E.To.isPlaceholder())
         continue;
-      if (!E.To.isPlaceholder() && !KeepTree(E.To.TreeKey))
+      if (!E.To.isPlaceholder() && !Frame.FS->keepsTree(E.To.TreeKey))
         continue;
-      Sum.addSuffixEdge(E);
+      Sum.SuffixEdges.insert(E);
     }
-    relaxSuffixSummaries(Frame.Backtrace, *Frame.FS, KeepTree);
+    relaxSuffixSummaries(Frame.Backtrace, *Frame.FS);
     if (Frame.ExitKeys->insert(tuplesOf(PS.SMI, RootArena),
                                PS.PathAnnotation))
       Frame.ExitStates->push_back(PS);
@@ -1011,7 +1024,7 @@ void Engine::finishBlock(FrameCtx &Frame, const BasicBlock *B,
 
   const std::vector<CFGEdge> &Succs = B->succs();
   if (Succs.empty()) {
-    relaxSuffixSummaries(Frame.Backtrace, *Frame.FS, KeepTree);
+    relaxSuffixSummaries(Frame.Backtrace, *Frame.FS);
     NotePathEnd();
     return;
   }
@@ -1327,13 +1340,10 @@ Engine::PathState Engine::restore(const PathState &CallerPS, SMInstance ExitSM,
   return Out;
 }
 
-std::vector<SMInstance> Engine::replaySummary(const FunctionDecl *Callee,
+std::vector<SMInstance> Engine::replaySummary(const BlockSummary &Summary,
                                               const SMInstance &Refined,
                                               bool PartialOk) {
-  FunctionSummaries &FS = Summaries[Callee];
-  const CFG *G = CG.cfg(Callee);
-  const BlockSummary &EntrySum = FS.entrySummary(*G);
-  const std::set<SummaryEdge> &Edges = EntrySum.SuffixEdges;
+  const std::set<SummaryEdge> &Edges = Summary.SuffixEdges;
 
   // Collect the applicable edges for the current state.
   struct Applicable {
@@ -1445,7 +1455,8 @@ std::vector<SMInstance> Engine::replaySummary(const FunctionDecl *Callee,
 
 void Engine::followCall(FrameCtx &Frame, const BasicBlock *B,
                         TupleSpan EntrySnapshot, size_t NextIdx, PathState PS,
-                        const CallExpr *CE, const FunctionDecl *Callee) {
+                        const CallExpr *CE, const FunctionDecl *Callee,
+                        FnRecord &CalleeRec) {
   RestoreInfo RI;
   RI.CallerFileID = Frame.Fn->fileID();
   PathState Refined = refine(PS, CE, Frame.Fn, Callee, RI);
@@ -1469,15 +1480,16 @@ void Engine::followCall(FrameCtx &Frame, const BasicBlock *B,
       if (VS.live() && !VS.Inactive)
         WEntryStates[VS.TreeKey] = VS.Value;
 
-  bool OnStack = Frame.CallStack->count(Callee) != 0;
-  const CFG *CalleeCFG = CG.cfg(Callee);
-  FunctionSummaries &CalleeFS = Summaries[Callee];
+  // A function is on the DFS stack exactly while an activation of it is
+  // live: a call to such a function is recursion.
+  const bool OnStack = CalleeRec.Live != nullptr;
+  CalleeRec.Materialized = true;
 
   std::vector<PathState> CalleeExits;
   bool Replayed = false;
 
   if (Opts.EnableFunctionSummaries) {
-    const auto &EntryTuples = CalleeFS.entryTuples(*CalleeCFG);
+    const auto &EntryTuples = CalleeRec.Summary.Reached;
     bool AllIn = !EntryTuples.empty();
     for (const StateTuple &T : tuplesOf(Refined.SMI))
       if (!EntryTuples.count(T)) {
@@ -1486,7 +1498,12 @@ void Engine::followCall(FrameCtx &Frame, const BasicBlock *B,
       }
     if (AllIn || OnStack) {
       bump(Ctr.FunctionCacheHits);
-      for (SMInstance &SMI : replaySummary(Callee, Refined.SMI, OnStack)) {
+      // Recursion replays the live activation's partial summary ("existing
+      // summary assumed sufficient"); any other hit the merged one.
+      const BlockSummary &Summary =
+          OnStack ? CalleeRec.Live->of(CalleeRec.G->entry())
+                  : CalleeRec.Summary;
+      for (SMInstance &SMI : replaySummary(Summary, Refined.SMI, OnStack)) {
         PathState E;
         E.SMI = std::move(SMI);
         E.PathAnnotation = Refined.PathAnnotation;
@@ -1503,8 +1520,6 @@ void Engine::followCall(FrameCtx &Frame, const BasicBlock *B,
 
   if (!Replayed) {
     bump(Ctr.CallsFollowed);
-    std::set<const FunctionDecl *> NewStack = *Frame.CallStack;
-    NewStack.insert(Callee);
     // Reports emitted inside the callee carry the caller's shape and journal
     // plus an explicit call step (the call chain the --explain indentation
     // renders), then the callee-internal steps.
@@ -1514,7 +1529,7 @@ void Engine::followCall(FrameCtx &Frame, const BasicBlock *B,
     noteStep(Refined, WitnessStep::Kind::Call, CE->loc(), Frame.Depth, "", "",
              Callee->name());
     CalleeExits =
-        analyzeFunction(Callee, Refined, std::move(NewStack), Frame.Depth + 1);
+        analyzeFunction(Callee, CalleeRec, std::move(Refined), Frame.Depth + 1);
   }
 
   if (CalleeExits.empty()) {
@@ -1577,32 +1592,49 @@ void Engine::followCall(FrameCtx &Frame, const BasicBlock *B,
 }
 
 std::vector<Engine::PathState>
-Engine::analyzeFunction(const FunctionDecl *Fn, PathState PS,
-                        std::set<const FunctionDecl *> Stack, unsigned Depth) {
+Engine::analyzeFunction(const FunctionDecl *Fn, FnRecord &Rec, PathState PS,
+                        unsigned Depth) {
   bump(Ctr.FunctionAnalyses);
-  const CFG *G = CG.cfg(Fn);
+  const CFG *G = Rec.G;
   assert(G && "analyzeFunction requires a CFG");
+  assert(!Rec.Live && "a function on the DFS stack is replayed, not walked");
+  if (Rec.PointBegin.empty()) {
+    for (const std::unique_ptr<BasicBlock> &B : G->blocks()) {
+      Rec.PointBegin.push_back(Rec.Points.size());
+      appendBlockPoints(*B, Rec.Points);
+    }
+    Rec.PointBegin.push_back(Rec.Points.size());
+    Rec.MayFire.assign(G->numBlocks(), 0);
+  }
+  if (Opts.EnableFunctionSummaries) {
+    Rec.Materialized = true;
+    TouchedThisRoot.push_back(&Rec);
+  }
   std::vector<PathState> Exits;
   StateKeySet ExitKeys;
+  // The block caches belong to this activation: a second call of the
+  // function in another state must walk it, not stop at the first call's
+  // interior caches.
+  FunctionSummaries Walk(*G);
   FrameCtx Frame;
   Frame.Fn = Fn;
-  Frame.G = G;
-  // With function summaries disabled (ablation), block summaries must not
-  // persist across activations: a second identical call would abort inside
-  // the callee without producing the memoized exit states.
-  FunctionSummaries LocalFS;
-  Frame.FS = Opts.EnableFunctionSummaries ? &Summaries[Fn] : &LocalFS;
-  if (Opts.EnableFunctionSummaries)
-    TouchedThisRoot.push_back(Fn);
+  Frame.Rec = &Rec;
+  Frame.FS = &Walk;
   Frame.ExitStates = &Exits;
   Frame.ExitKeys = &ExitKeys;
-  Frame.CallStack = &Stack;
   // A callee starts knowing nothing of its caller's values (refine passes
   // checker state only), so each activation owns a fresh tracker.
   ValueTracker VT;
   Frame.VT = &VT;
   Frame.Depth = Depth;
+  Rec.Live = &Walk;
   traverseBlock(Frame, G->entry(), std::move(PS));
+  Rec.Live = nullptr;
+  // Only the entry block outlives the activation, as the function summary;
+  // the whole walk stays readable for introspection until the next one.
+  if (Opts.EnableFunctionSummaries)
+    Rec.Summary.merge(Walk.of(G->entry()));
+  Rec.LastWalk = std::move(Walk);
   return Exits;
 }
 
@@ -1661,7 +1693,8 @@ RootOutcome Engine::analyzeRoot(Checker &C, const FunctionDecl *Root) {
   CurChecker = &C;
   refreshCheckerCells(C);
   RootOutcome Out;
-  if (!CG.cfg(Root))
+  FnRecord &RootRec = recordOf(Root);
+  if (!RootRec.G)
     return Out;
   bump(Ctr.RootsAnalyzed);
 
@@ -1679,7 +1712,9 @@ RootOutcome Engine::analyzeRoot(Checker &C, const FunctionDecl *Root) {
   // checker that reads its own annotations shares none: a summary another
   // root built replays that root's view of them.
   if (C.readsOwnAnnotations())
-    Summaries.clear();
+    for (auto &[Fn, R] : Records)
+      if (R.Materialized)
+        dropSummary(R);
   AbortKind = RootAbortKind::None;
   AbortReason.clear();
   RootPathsBase = Ctr.PathsExplored->load(std::memory_order_relaxed);
@@ -1691,11 +1726,10 @@ RootOutcome Engine::analyzeRoot(Checker &C, const FunctionDecl *Root) {
     DeadlineScope Guard(DeadlineExpired, Opts.Reporting.RootDeadlineMs);
     PathState PS;
     PS.SMI.GState = C.initialGlobalState();
-    std::set<const FunctionDecl *> Stack{Root};
     std::vector<PathState> Exits;
     {
       TraceSpan TraverseSpan(Buf, "traverse");
-      Exits = analyzeFunction(Root, std::move(PS), Stack, 0);
+      Exits = analyzeFunction(Root, RootRec, std::move(PS), 0);
     }
     {
       TraceSpan EndSpan(Buf, "end-of-path");
@@ -1717,8 +1751,8 @@ RootOutcome Engine::analyzeRoot(Checker &C, const FunctionDecl *Root) {
     // edges were never relaxed); a later root replaying one would silently
     // drop reports. Valid pre-existing summaries of touched functions go
     // too: re-deriving them is just work, never a behavior change.
-    for (const FunctionDecl *Fn : TouchedThisRoot)
-      Summaries.erase(Fn);
+    for (FnRecord *R : TouchedThisRoot)
+      dropSummary(*R);
   }
   RootSpan.arg("outcome", rootAbortKindName(Out.Kind));
   // Per-root arena teardown: record the telemetry, then free every slab in
@@ -1736,11 +1770,12 @@ void Engine::beginChecker(Checker &C) {
   // address, which the pointer guard alone would miss.
   CellsChecker = nullptr;
   refreshCheckerCells(C);
-  Summaries.clear();
-  // Drop the dispatch memo unconditionally, for the same address-reuse
-  // reason.
-  DispatchBlockMemo.clear();
-  MemoChecker = &C;
+  // A new checker invalidates every summary and may-fire byte; the point
+  // lists depend on the CFG alone and stay.
+  for (auto &[Fn, R] : Records) {
+    dropSummary(R);
+    std::fill(R.MayFire.begin(), R.MayFire.end(), 0);
+  }
 }
 
 void Engine::run(Checker &C) {

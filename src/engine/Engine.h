@@ -29,7 +29,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <set>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -92,7 +92,11 @@ struct ReportingOptions {
 /// mechanism's contribution.
 struct EngineOptions {
   bool EnableBlockCache = true;       ///< Section 5.2 block summaries.
-  bool EnableFunctionSummaries = true; ///< Section 6.2 function summaries.
+  /// Section 6.2 function summaries: a call whose state the callee's summary
+  /// covers replays it instead of walking the callee. Off (--no-summaries),
+  /// every call walks the callee; block caches are per activation either
+  /// way.
+  bool EnableFunctionSummaries = true;
   bool EnableFalsePathPruning = true; ///< Section 8 FPP.
   bool EnableAutoKill = true;         ///< Section 8 killing (AND checker knob).
   bool EnableSynonyms = true;         ///< Section 8 synonyms (AND checker knob).
@@ -175,8 +179,8 @@ EngineOptions degradedOptions(const EngineOptions &Base, unsigned Stage);
 
 /// The xgcc engine. One Engine runs one checker at a time over one source
 /// base: beginChecker, then analyzeRoot per root. Across roots it keeps only
-/// summaries (none for a checker that reads its own annotations); each
-/// root's reports and annotations come back in its RootOutcome, and the
+/// function summaries (none for a checker that reads its own annotations);
+/// each root's reports and annotations come back in its RootOutcome, and the
 /// caller merges them.
 class Engine {
 public:
@@ -207,9 +211,11 @@ public:
   /// engine, and its block summaries, for introspection (Figure 5).
   void run(Checker &C);
 
-  /// Prepares the engine for a fresh run of \p C (clears function summaries;
-  /// a new checker invalidates them). XgccTool::run calls this once per
-  /// shard engine, then drives analyzeRoot over the shard's roots.
+  /// Prepares the engine for a fresh run of \p C: clears the function
+  /// summaries and the may-fire bytes, which a new checker invalidates, and
+  /// keeps the point lists. Call it before analyzeRoot with a new checker.
+  /// XgccTool::run calls this once per shard engine, then drives
+  /// analyzeRoot over the shard's roots.
   void beginChecker(Checker &C);
 
   /// Applies \p C starting from a single root and returns what it produced.
@@ -226,20 +232,22 @@ public:
   /// to aggregate across engines.
   const MetricsRegistry &metrics() const { return Metrics; }
 
-  /// Block summary of \p B for the last checker run (Figure 5 output).
+  /// Block summary of \p B in \p Fn for the running checker (Figure 5
+  /// output), or null when \p Fn has no summary or the walk never entered
+  /// \p B. The entry block answers from the function summary, merged over
+  /// every activation; any other block from the last activation that
+  /// finished. The traversal itself never reads these interior blocks.
   const BlockSummary *blockSummary(const FunctionDecl *Fn,
                                    const BasicBlock *B) const;
 
-  /// The full summary store of \p Fn for the last checker run, or null when
-  /// the function was never descended into. The incremental cache's
-  /// --cache-verify pass digests these (engine/Summaries.h text form) to
-  /// cross-check warm replays against a fresh analysis; an aborted root
-  /// erases the store of every function it touched, so a ladder-degraded
-  /// root can never leak partial summaries into a digest.
-  FunctionSummaries *functionSummary(const FunctionDecl *Fn) {
-    auto It = Summaries.find(Fn);
-    return It == Summaries.end() ? nullptr : &It->second;
-  }
+  /// The function summary of \p Fn for the running checker: its entry
+  /// block's Reached set and edges, merged over every activation (empty
+  /// under --no-summaries). Null when no call or activation materialized
+  /// one. The incremental cache digests these (functionSummaryDigest) so
+  /// --cache-verify can cross-check warm replays against a fresh analysis;
+  /// an aborted root erases the summary of every function it walked, so a
+  /// ladder-degraded root can never leak a partial summary into a digest.
+  const BlockSummary *functionSummary(const FunctionDecl *Fn) const;
 
   /// Internal point descriptor (public so implementation helpers can name
   /// it; not part of the stable API).
@@ -252,7 +260,39 @@ private:
   struct FrameCtx;
   struct RestoreInfo;
 
-  const std::vector<PointInfo> &pointsOf(const BasicBlock *B);
+  /// Everything the engine keeps per function, found with one lookup per
+  /// activation: the function summary, the last walk's block summaries, the
+  /// point lists and the may-fire bytes. The per-block tables are indexed by
+  /// BasicBlock::id().
+  struct FnRecord {
+    const CFG *G = nullptr; ///< Null for a function without a body.
+    /// Every block's points in execution order, flattened: block B's run
+    /// from PointBegin[B->id()] to PointBegin[B->id() + 1]. Built at the
+    /// function's first activation; the same for every checker.
+    std::vector<PointInfo> Points;
+    std::vector<uint32_t> PointBegin;
+    /// Per block, for the running checker: 0 = not asked yet, 1 = no point
+    /// can fire any transition, 2 = some point may.
+    std::vector<uint8_t> MayFire;
+    /// The function summary: the entry block's summary merged over every
+    /// finished activation (Section 6.2). Calls replay it.
+    BlockSummary Summary;
+    /// A call or an activation materialized the summary (the functions a
+    /// root's cache artifact records digests for).
+    bool Materialized = false;
+    /// The block summaries of the last activation that finished, published
+    /// for blockSummary only.
+    FunctionSummaries LastWalk;
+    /// The activation on the DFS stack, if any: a recursive call replays
+    /// its partial summary.
+    FunctionSummaries *Live = nullptr;
+  };
+  FnRecord &recordOf(const FunctionDecl *Fn);
+  /// Erases \p R's function summary and published walk.
+  static void dropSummary(FnRecord &R);
+
+  std::span<const PointInfo> pointsOf(const FnRecord &R,
+                                      const BasicBlock *B) const;
 
   void traverseBlock(FrameCtx &Frame, const BasicBlock *B, PathState PS);
   void processPoints(FrameCtx &Frame, const BasicBlock *B,
@@ -261,12 +301,12 @@ private:
   void finishBlock(FrameCtx &Frame, const BasicBlock *B,
                    TupleSpan EntrySnapshot, PathState PS);
   void followCall(FrameCtx &Frame, const BasicBlock *B,
-                  TupleSpan EntrySnapshot, size_t NextIdx,
-                  PathState PS, const CallExpr *CE, const FunctionDecl *Callee);
-  std::vector<PathState> analyzeFunction(const FunctionDecl *Fn, PathState PS,
-                                         std::set<const FunctionDecl *> Stack,
-                                         unsigned Depth);
-  std::vector<SMInstance> replaySummary(const FunctionDecl *Callee,
+                  TupleSpan EntrySnapshot, size_t NextIdx, PathState PS,
+                  const CallExpr *CE, const FunctionDecl *Callee,
+                  FnRecord &CalleeRec);
+  std::vector<PathState> analyzeFunction(const FunctionDecl *Fn, FnRecord &Rec,
+                                         PathState PS, unsigned Depth);
+  std::vector<SMInstance> replaySummary(const BlockSummary &Summary,
                                         const SMInstance &Refined,
                                         bool PartialOk);
 
@@ -364,9 +404,10 @@ private:
   /// The outcome of the root in flight: its reports and annotation writes
   /// land here (null between roots).
   RootOutcome *RootOut = nullptr;
-  /// Hashed: probed/erased by key only (analyzeFunction, replay, rollback);
-  /// iteration never happens, so order cannot reach report bytes.
-  std::unordered_map<const FunctionDecl *, FunctionSummaries> Summaries;
+  /// Hashed: probed by key, and iterated only to reset every record, so
+  /// order cannot reach report bytes. Node-based, so a FnRecord stays put
+  /// while the traversal holds it.
+  std::unordered_map<const FunctionDecl *, FnRecord> Records;
   /// Per-root bump arena for traversal transients (entry-tuple snapshots,
   /// backtrace spans). Frames take mark/rewind scopes so growth is bounded
   /// by the live DFS path; analyzeRoot records the telemetry and resets it
@@ -375,7 +416,6 @@ private:
   // The lookup caches below are never iterated (single-key probes
   // only), so hashed containers are safe: no engine decision, and hence no
   // report byte, depends on their order.
-  std::unordered_map<const BasicBlock *, std::vector<PointInfo>> PointCache;
   /// Synthesized DeclRefExprs for formals and declared locals.
   std::unordered_map<const VarDecl *, const Expr *> DeclRefCache;
   /// Printed text of branch conditions, memoized per Expr: the always-on
@@ -387,12 +427,10 @@ private:
   std::unordered_map<const FunctionDecl *, std::unordered_set<const VarDecl *>>
       FnLocalsCache;
   const std::unordered_set<const VarDecl *> &localsOf(const FunctionDecl *Fn);
-  /// Per-block dispatch memo for CurChecker: false = no point in the block
-  /// can fire any of the checker's transitions, so checkPoint is skipped for
-  /// the whole block on every path through it. Engine-private (per worker).
-  std::unordered_map<const BasicBlock *, bool> DispatchBlockMemo;
-  const Checker *MemoChecker = nullptr;
-  bool blockMayFire(const BasicBlock *B);
+  /// Per-block dispatch memo for CurChecker (FnRecord::MayFire): false = no
+  /// point in the block can fire any of the checker's transitions, so
+  /// checkPoint is skipped for the whole block on every path through it.
+  bool blockMayFire(FnRecord &R, const BasicBlock *B);
   unsigned SynonymGroupCounter = 0;
 
   /// Blocks on the current DFS path, summed over every frame: the count
@@ -405,9 +443,9 @@ private:
   uint64_t RootPathsBase = 0;      ///< paths-explored counter at root entry.
   std::atomic<bool> DeadlineExpired{false};
   bool DeadlineArmed = false;
-  /// Functions whose shared summaries were touched during the current root;
-  /// erased on abort (a partially-relaxed summary must not be replayed).
-  std::vector<const FunctionDecl *> TouchedThisRoot;
+  /// Functions whose summaries the current root walked; erased on abort (a
+  /// partially-relaxed summary must not be replayed).
+  std::vector<FnRecord *> TouchedThisRoot;
 };
 
 } // namespace mc

@@ -13,8 +13,7 @@
 using namespace mc;
 
 void mc::relaxSuffixSummaries(const std::vector<BacktraceEntry> &Backtrace,
-                              FunctionSummaries &FS,
-                              const std::function<bool(uint32_t)> &KeepTree) {
+                              FunctionSummaries &FS) {
   if (Backtrace.size() < 2)
     return;
   for (size_t I = Backtrace.size() - 1; I-- > 0;) {
@@ -26,7 +25,7 @@ void mc::relaxSuffixSummaries(const std::vector<BacktraceEntry> &Backtrace,
       // never record local variables (Figure 5).
       if (E.To.Value == StateStop && !E.To.isPlaceholder())
         continue;
-      if (!E.To.isPlaceholder() && !KeepTree(E.To.TreeKey))
+      if (!E.To.isPlaceholder() && !FS.keepsTree(E.To.TreeKey))
         continue;
       if (E.isAdd()) {
         // An add edge's start "matches" any global-only edge of the previous
@@ -37,11 +36,8 @@ void mc::relaxSuffixSummaries(const std::vector<BacktraceEntry> &Backtrace,
           SummaryEdge NewE{
               StateTuple{P.From.GState, E.From.TreeKey, StateUnknown, {}},
               E.To, E.ToTree, E.FactKey};
-          if (Prev.SuffixEdges.insert(NewE).second) {
-            if (NewE.ToTree)
-              Prev.Trees[NewE.To.TreeKey] = NewE.ToTree;
+          if (Prev.SuffixEdges.insert(NewE).second)
             Grew = true;
-          }
         }
         continue;
       }
@@ -53,14 +49,11 @@ void mc::relaxSuffixSummaries(const std::vector<BacktraceEntry> &Backtrace,
         // When P is an add edge the composition is still an add edge and the
         // creation fact travels with it; transition edges carry no fact.
         SummaryEdge NewE{P.From, E.To, E.ToTree, P.FactKey};
-        if (!NewE.From.isPlaceholder() && !KeepTree(NewE.From.TreeKey) &&
+        if (!NewE.From.isPlaceholder() && !FS.keepsTree(NewE.From.TreeKey) &&
             !NewE.isAdd())
           continue;
-        if (Prev.SuffixEdges.insert(NewE).second) {
-          if (NewE.ToTree)
-            Prev.Trees[NewE.To.TreeKey] = NewE.ToTree;
+        if (Prev.SuffixEdges.insert(NewE).second)
           Grew = true;
-        }
       }
     }
     // "The algorithm stops when ... no new edges are propagated."
@@ -106,17 +99,17 @@ void tupleTo(const StateTuple &T, std::string &Out) {
 }
 
 /// The canonical text that functionSummaryDigest hashes.
-std::string serializeFunctionSummary(FunctionSummaries &FS, const CFG &G) {
+std::string serializeFunctionSummary(const BlockSummary &Summary) {
   std::string Out = "mc-summary-v1\n";
-  std::vector<StateTuple> Entry(FS.entryTuples(G).begin(),
-                                FS.entryTuples(G).end());
+  std::vector<StateTuple> Entry(Summary.Reached.begin(),
+                                Summary.Reached.end());
   std::sort(Entry.begin(), Entry.end());
   for (const StateTuple &T : Entry) {
     Out += "entry\t";
     tupleTo(T, Out);
     Out.push_back('\n');
   }
-  for (const SummaryEdge &E : FS.functionEdges(G)) {
+  for (const SummaryEdge &E : Summary.SuffixEdges) {
     Out += "edge\t";
     tupleTo(E.From, Out);
     Out.push_back('\t');
@@ -130,6 +123,6 @@ std::string serializeFunctionSummary(FunctionSummaries &FS, const CFG &G) {
 
 } // namespace
 
-uint64_t mc::functionSummaryDigest(FunctionSummaries &FS, const CFG &G) {
-  return fnv1a64(serializeFunctionSummary(FS, G));
+uint64_t mc::functionSummaryDigest(const BlockSummary &Summary) {
+  return fnv1a64(serializeFunctionSummary(Summary));
 }

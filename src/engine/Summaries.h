@@ -13,6 +13,13 @@
 /// to the function exit); the entry block's suffix summary is the function
 /// summary replayed at interprocedural cache hits.
 ///
+/// Lifetimes: block summaries belong to one activation of a function. Each
+/// activation walks a FunctionSummaries of its own, a vector indexed by
+/// BasicBlock::id(), so a second call of a function never hits the first
+/// call's interior caches. Only the entry block (its Reached set and edges,
+/// the function summary) outlives the activation: the engine merges it into
+/// the function's record, which answers later calls by replay.
+///
 /// Container discipline: `Reached` is membership-only, so it hashes, and
 /// the engine asks "is every tuple of this state already in Reached?" by
 /// walking the state's tuples. `Edges`/`SuffixEdges` stay ordered because
@@ -27,8 +34,6 @@
 #include "cfg/CFG.h"
 #include "metal/State.h"
 
-#include <functional>
-#include <map>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -76,49 +81,44 @@ struct BlockSummary {
   /// Edges from this block's entry to the function exit. Ordered likewise.
   std::set<SummaryEdge> SuffixEdges;
 
-  /// ToTree lookup for replay (keyed by tree-key symbol). Write-mostly.
-  std::unordered_map<uint32_t, const Expr *> Trees;
-
-  void addEdge(const SummaryEdge &E) {
-    Edges.insert(E);
-    if (E.ToTree)
-      Trees[E.To.TreeKey] = E.ToTree;
-  }
-  void addSuffixEdge(const SummaryEdge &E) {
-    SuffixEdges.insert(E);
-    if (E.ToTree)
-      Trees[E.To.TreeKey] = E.ToTree;
+  /// Adds everything \p Other holds. An edge already present keeps its
+  /// metadata (ToTree, FactKey), as a repeated insert would.
+  void merge(const BlockSummary &Other) {
+    Reached.insert(Other.Reached.begin(), Other.Reached.end());
+    Edges.insert(Other.Edges.begin(), Other.Edges.end());
+    SuffixEdges.insert(Other.SuffixEdges.begin(), Other.SuffixEdges.end());
   }
 };
 
-/// Summary store for one (checker, function) pair.
+/// The block summaries of one function activation, indexed by
+/// BasicBlock::id(). A block the activation never entered has an empty
+/// summary.
 class FunctionSummaries {
 public:
-  BlockSummary &of(const BasicBlock *B) { return Blocks[B]; }
-  const BlockSummary *find(const BasicBlock *B) const {
-    auto It = Blocks.find(B);
-    return It == Blocks.end() ? nullptr : &It->second;
-  }
+  FunctionSummaries() = default;
+  explicit FunctionSummaries(const CFG &G) : Blocks(G.numBlocks()) {}
 
-  /// The entry block's Reached set records every tuple that entered the
-  /// function; the interprocedural cache hit test checks against it.
-  const std::unordered_set<StateTuple, StateTupleHash> &entryTuples(
-      const CFG &G) {
-    return of(G.entry()).Reached;
+  BlockSummary &of(const BasicBlock *B) { return Blocks[B->id()]; }
+  /// The summary of \p B, or null when the activation never entered it.
+  const BlockSummary *find(const BasicBlock *B) const {
+    if (B->id() >= Blocks.size() || Blocks[B->id()].Reached.empty())
+      return nullptr;
+    return &Blocks[B->id()];
   }
-  /// The function summary: the entry block's suffix edges.
-  const std::set<SummaryEdge> &functionEdges(const CFG &G) {
-    return of(G.entry()).SuffixEdges;
-  }
-  const BlockSummary &entrySummary(const CFG &G) { return of(G.entry()); }
 
   /// Records whether a tree key denotes a function-local object (local keys
   /// never enter suffix/function summaries — Figure 5's note about q).
   /// Probe-only: hashed.
   std::unordered_map<uint32_t, bool> LocalKeys;
+  /// False for a tree key recorded as function-local: its edges stay out of
+  /// suffix summaries.
+  bool keepsTree(uint32_t Key) const {
+    auto It = LocalKeys.find(Key);
+    return It == LocalKeys.end() || !It->second;
+  }
 
 private:
-  std::unordered_map<const BasicBlock *, BlockSummary> Blocks;
+  std::vector<BlockSummary> Blocks;
 };
 
 /// One backtrace element: a block and the tuples the current path carried
@@ -133,19 +133,19 @@ struct BacktraceEntry {
 /// The relax pass of Figure 6: walks the backtrace backwards, combining
 /// each block's summary edges with the suffix edges of the subsequent
 /// block. Suffix edges ending in stop are omitted, as are edges whose tree
-/// fails \p KeepTree (local variables never escape — Figure 5's note on q).
+/// is function-local (FunctionSummaries::keepsTree; local variables never
+/// escape — Figure 5's note on q).
 void relaxSuffixSummaries(const std::vector<BacktraceEntry> &Backtrace,
-                          FunctionSummaries &FS,
-                          const std::function<bool(uint32_t)> &KeepTree);
+                          FunctionSummaries &FS);
 
-/// FNV-1a digest of the interprocedural content of \p FS for the function
-/// with CFG \p G: the entry block's Reached set and its suffix edges (the
-/// function summary), rendered as text in tuple text order. Symbols enter as
-/// their text, never their ids, so the digest is the same whatever order
-/// symbols were interned in. ToTree pointers are left out: they name AST
-/// nodes of one process. The summary store records one digest per function
-/// a root's analysis materialized, and `--cache-verify` compares them.
-uint64_t functionSummaryDigest(FunctionSummaries &FS, const CFG &G);
+/// FNV-1a digest of a function summary (\p Summary, the entry block's
+/// summary merged over a run's activations): its Reached set and its suffix
+/// edges, rendered as text in tuple text order. Symbols enter as their text,
+/// never their ids, so the digest is the same whatever order symbols were
+/// interned in. ToTree pointers are left out: they name AST nodes of one
+/// process. The summary store records one digest per function a root's
+/// analysis materialized, and `--cache-verify` compares them.
+uint64_t functionSummaryDigest(const BlockSummary &Summary);
 
 } // namespace mc
 

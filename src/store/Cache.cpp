@@ -343,12 +343,13 @@ bool RootArtifact::parse(const std::string &Payload, std::string *Err) {
 // AnalysisCache
 //===----------------------------------------------------------------------===//
 
-AnalysisCache::AnalysisCache(std::string D) : Dir(std::move(D)) {
+AnalysisCache::AnalysisCache(std::string D, raw_ostream *OS)
+    : Dir(std::move(D)), DiagOS(OS) {
   std::error_code EC;
   fs::create_directories(Dir, EC);
   Usable = !EC || fs::is_directory(Dir, EC);
   if (!Usable) {
-    errs() << "xgcc: cache: cannot open cache directory '" << Dir
+    diag() << "xgcc: cache: cannot open cache directory '" << Dir
            << "'; caching disabled this run\n";
     return;
   }
@@ -360,7 +361,7 @@ void AnalysisCache::acquireLock() {
   LockFd = ::open(LockPath.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (LockFd < 0) {
     Usable = false;
-    errs() << "xgcc: cache: cannot open lock file '" << LockPath
+    diag() << "xgcc: cache: cannot open lock file '" << LockPath
            << "'; caching disabled this run\n";
     return;
   }
@@ -382,13 +383,14 @@ void AnalysisCache::acquireLock() {
   bool HolderAlive =
       LockHolderPid > 0 && (::kill(pid_t(LockHolderPid), 0) == 0 ||
                             errno != ESRCH);
-  errs() << "xgcc: cache: directory '" << Dir << "' is locked by ";
+  raw_ostream &OS = diag();
+  OS << "xgcc: cache: directory '" << Dir << "' is locked by ";
   if (LockHolderPid > 0)
-    errs() << (HolderAlive ? "running" : "stale-looking") << " process "
-           << LockHolderPid;
+    OS << (HolderAlive ? "running" : "stale-looking") << " process "
+       << LockHolderPid;
   else
-    errs() << "another process";
-  errs() << "; caching disabled this run\n";
+    OS << "another process";
+  OS << "; caching disabled this run\n";
   ::close(LockFd);
   LockFd = -1;
   LockConflict = true;

@@ -149,9 +149,10 @@ public:
   /// Opens (creating if needed) \p Dir and takes the directory's `lock` file
   /// (flock, non-blocking). On any failure — including another live process
   /// holding the lock — the cache is unusable: every load misses and every
-  /// store is dropped, with one diagnostic. The lock keeps a daemon and a
-  /// concurrent CLI run from interleaving temp-file writes into one store.
-  explicit AnalysisCache(std::string Dir);
+  /// store is dropped, with one diagnostic on \p DiagOS (null means errs(),
+  /// as for setDiagOS). The lock keeps a daemon and a concurrent CLI run
+  /// from interleaving temp-file writes into one store.
+  explicit AnalysisCache(std::string Dir, raw_ostream *DiagOS = nullptr);
 
   /// Releases the directory lock. The lock file itself stays behind (its pid
   /// payload is only advisory; unlinking would race a waiter's open()).

@@ -384,6 +384,35 @@ TEST_F(CacheTest, DirectoryLockExcludesSecondOpener) {
   EXPECT_FALSE(Second.load(AnalysisCache::Kind::Ast, 1, Out));
 }
 
+TEST_F(CacheTest, UnusableDirectoryNoteGoesToTheTool) {
+  // The note that the store cannot be opened comes from the cache's
+  // constructor, before the tool attaches its stream for later notes; it
+  // still belongs in the tool's log, and the run goes on uncached.
+  writeCorpus();
+  std::string Blocker = (Dir / "blocker").string();
+  ASSERT_TRUE(writeFileBytes(Blocker, "not a directory"));
+  testing::internal::CaptureStderr();
+  CacheRun R = run(Blocker + "/store");
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  EXPECT_EQ(R.Diags, "xgcc: cache: cannot open cache directory '" + Blocker +
+                         "/store'; caching disabled this run\n");
+  EXPECT_EQ(R.Reports, run("").Reports);
+}
+
+TEST_F(CacheTest, LockedDirectoryNoteGoesToTheTool) {
+  writeCorpus();
+  AnalysisCache Holder(Store);
+  ASSERT_TRUE(Holder.usable());
+  testing::internal::CaptureStderr();
+  CacheRun R = run(Store);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  EXPECT_EQ(R.Diags, "xgcc: cache: directory '" + Store +
+                         "' is locked by running process " +
+                         std::to_string(::getpid()) +
+                         "; caching disabled this run\n");
+  EXPECT_EQ(R.Reports, run("").Reports);
+}
+
 TEST_F(CacheTest, InjectedWriteFaultsLeaveNoLitterAndAreCounted) {
   writeCorpus();
   injectWriteFaults(2);

@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -362,4 +363,52 @@ TEST(ParallelDeterminismTest, PathBudgetIsPerWorker) {
   // The path that trips the limit still completes, so the budget allows at
   // most MaxPathsPerFunction + 1 paths per function.
   EXPECT_LE(Stats[0].value("engine.paths.explored"), 4 * (8u + 1));
+}
+
+TEST(ParallelDeterminismTest, EachCallOfACalleeWalksItsOwnBlockCaches) {
+  // lib1 calls lib2 twice: first with l locked, then with l released by the
+  // first call. The second activation must walk lib2 in its own state, not
+  // stop at the interior block caches the first one filled, or the path
+  // never returns to lib1 and line 10's unlock of a released lock goes
+  // unreported. The reference walk keeps no summaries and no block cache.
+  const std::string Source = "void lock(int *l); void unlock(int *l);\n"
+                             "int lib2(int *l, int v) {\n"
+                             "  unlock(l);\n"
+                             "  return v;\n"
+                             "}\n"
+                             "int lib1(int *l, int v) {\n"
+                             "  lock(l);\n"
+                             "  v += lib2(l, v);\n"
+                             "  v += lib2(l, v);\n"
+                             "  unlock(l);\n"
+                             "  return v;\n"
+                             "}\n";
+  auto Run = [&](unsigned Jobs, bool Reference) {
+    XgccTool Tool;
+    EXPECT_TRUE(Tool.addSource("t.c", Source));
+    EXPECT_TRUE(Tool.addBuiltinChecker("lock"));
+    EngineOptions Opts;
+    Opts.Jobs = Jobs;
+    if (Reference) {
+      Opts.EnableFunctionSummaries = false;
+      Opts.EnableBlockCache = false;
+    }
+    Tool.run(Opts);
+    std::set<std::string> Reports;
+    for (const ErrorReport &R : Tool.reports().reports())
+      Reports.insert(R.File + ":" + std::to_string(R.Line) + ": " +
+                     R.Message);
+    return std::make_pair(Reports,
+                          Tool.metrics().value("engine.cache.block_hits"));
+  };
+  const std::set<std::string> Want = {
+      "t.c:10: releasing unacquired lock l!",
+      "t.c:3: releasing unacquired lock l!"};
+  for (unsigned Jobs : {1u, 4u}) {
+    std::set<std::string> Reference = Run(Jobs, /*Reference=*/true).first;
+    auto [Default, Hits] = Run(Jobs, /*Reference=*/false);
+    EXPECT_EQ(Reference, Want) << "jobs " << Jobs;
+    EXPECT_EQ(Default, Reference) << "jobs " << Jobs;
+    EXPECT_EQ(Hits, 0u) << "jobs " << Jobs;
+  }
 }
